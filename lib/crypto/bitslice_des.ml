@@ -1,7 +1,7 @@
-(* Bitsliced 3DES decryption: 63 blocks per pass over 63-bit native-int
-   lanes (the widest unboxed integer OCaml has), with the round function
-   run as machine-generated straight-line boolean circuits
-   (Des_circuits.apply, one op per gate, all 63 blocks at once).
+(* Bitsliced 3DES: 63 blocks per pass over 63-bit native-int lanes (the
+   widest unboxed integer OCaml has), with the round function run as
+   machine-generated straight-line boolean circuits (Des_circuits.apply,
+   one op per gate, all 63 blocks at once).
 
    Layout: lane j holds bit j+1 (FIPS MSB-first numbering) of every block
    in the pass — blocks 0..31 at int bits 31..0 and blocks 32..62 at int
@@ -11,8 +11,9 @@
    next cancel, leaving a single L/R swap.
 
    The key schedule is precomputed per session: 48 rounds x 48 lane masks
-   (0 or -1), in EDE-decrypt order (k3 reversed, k2 forward, k1 reversed).
-   Decryption only: the fast engine serves the read path. *)
+   (0 or -1). Nothing in a pass depends on the direction: the schedule's
+   subkey order alone makes it EDE decryption (k3 reversed, k2 forward, k1
+   reversed) or EDE encryption (k1 forward, k2 reversed, k3 forward). *)
 
 let blocks_per_pass = 63
 
@@ -27,13 +28,20 @@ let lane_masks dst ~off subkeys ~reverse =
     done
   done
 
+let schedule (first, rev1) (second, rev2) (third, rev3) =
+  let s = Array.make (48 * 48) 0 in
+  lane_masks s ~off:0 (Des.subkeys first) ~reverse:rev1;
+  lane_masks s ~off:(16 * 48) (Des.subkeys second) ~reverse:rev2;
+  lane_masks s ~off:(32 * 48) (Des.subkeys third) ~reverse:rev3;
+  s
+
 let decrypt_schedule key =
   let k1, k2, k3 = Des.Triple.components key in
-  let s = Array.make (48 * 48) 0 in
-  lane_masks s ~off:0 (Des.subkeys k3) ~reverse:true;
-  lane_masks s ~off:(16 * 48) (Des.subkeys k2) ~reverse:false;
-  lane_masks s ~off:(32 * 48) (Des.subkeys k1) ~reverse:true;
-  s
+  schedule (k3, true) (k2, false) (k1, true)
+
+let encrypt_schedule key =
+  let k1, k2, k3 = Des.Triple.components key in
+  schedule (k1, false) (k2, true) (k3, false)
 
 (* 0-based lane relabelings *)
 let ip = Array.map (fun b -> b - 1) Des.Internal.initial_permutation
@@ -80,10 +88,10 @@ let make_scratch () =
   }
 
 let word32 src pos =
-  (Char.code (String.unsafe_get src pos) lsl 24)
-  lor (Char.code (String.unsafe_get src (pos + 1)) lsl 16)
-  lor (Char.code (String.unsafe_get src (pos + 2)) lsl 8)
-  lor Char.code (String.unsafe_get src (pos + 3))
+  (Char.code (Bytes.unsafe_get src pos) lsl 24)
+  lor (Char.code (Bytes.unsafe_get src (pos + 1)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get src (pos + 2)) lsl 8)
+  lor Char.code (Bytes.unsafe_get src (pos + 3))
 
 let store32 dst pos v =
   Bytes.unsafe_set dst pos (Char.unsafe_chr ((v lsr 24) land 0xFF));
@@ -91,7 +99,9 @@ let store32 dst pos v =
   Bytes.unsafe_set dst (pos + 2) (Char.unsafe_chr ((v lsr 8) land 0xFF));
   Bytes.unsafe_set dst (pos + 3) (Char.unsafe_chr (v land 0xFF))
 
-(* one pass: decrypt [n] blocks (1 <= n <= 63) at [src_pos] into [dst_pos] *)
+(* one pass: run [n] blocks (1 <= n <= 63) at [src_pos] into [dst_pos].
+   Every input word is loaded before any output is stored, so [src] and
+   [dst] may be the same buffer at the same position. *)
 let pass sched sc src src_pos dst dst_pos n =
   let { ta_hi; ta_lo; tb_hi; tb_lo; l; r } = sc in
   for b = 0 to 31 do
@@ -173,15 +183,15 @@ let pass sched sc src src_pos dst dst_pos n =
     end
   done
 
-let decrypt_blocks sched ~src ~src_pos ~dst ~dst_pos ~nblocks =
+let run sched ~src ~src_pos ~dst ~dst_pos ~nblocks =
   if Array.length sched <> 48 * 48 then
-    invalid_arg "Bitslice_des.decrypt_blocks: bad schedule";
+    invalid_arg "Bitslice_des.crypt_blocks: bad schedule";
   if
     src_pos < 0 || nblocks < 0
-    || src_pos + (8 * nblocks) > String.length src
+    || src_pos + (8 * nblocks) > Bytes.length src
     || dst_pos < 0
     || dst_pos + (8 * nblocks) > Bytes.length dst
-  then invalid_arg "Bitslice_des.decrypt_blocks: range out of bounds";
+  then invalid_arg "Bitslice_des.crypt_blocks: range out of bounds";
   if nblocks > 0 then begin
     let sc = make_scratch () in
     let remaining = ref nblocks and off = ref 0 in
@@ -192,3 +202,10 @@ let decrypt_blocks sched ~src ~src_pos ~dst ~dst_pos ~nblocks =
       remaining := !remaining - n
     done
   end
+
+(* the kernel only reads [src]: viewing the string as bytes is safe *)
+let crypt_blocks sched ~src ~src_pos ~dst ~dst_pos ~nblocks =
+  run sched ~src:(Bytes.unsafe_of_string src) ~src_pos ~dst ~dst_pos ~nblocks
+
+let crypt_blocks_in_place sched buf ~pos ~nblocks =
+  run sched ~src:buf ~src_pos:pos ~dst:buf ~dst_pos:pos ~nblocks

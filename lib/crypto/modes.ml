@@ -11,6 +11,8 @@ type cipher = {
     option;
       (* optional batched raw-ECB-direction kernel; mode XORs are applied
          on top as a second pass over [dst] *)
+  encrypt_blocks : (Bytes.t -> pos:int -> nblocks:int -> unit) option;
+      (* its in-place encrypting twin; mode XORs are applied first *)
 }
 
 let of_des k =
@@ -18,6 +20,7 @@ let of_des k =
     encrypt = Des.encrypt_block k;
     decrypt = Des.decrypt_block k;
     decrypt_blocks = None;
+    encrypt_blocks = None;
   }
 
 let of_triple_des k =
@@ -25,14 +28,31 @@ let of_triple_des k =
     encrypt = Des.Triple.encrypt_block k;
     decrypt = Des.Triple.decrypt_block k;
     decrypt_blocks = None;
+    encrypt_blocks = None;
   }
 
 let of_triple_des_fast k =
-  let sched = Bitslice_des.decrypt_schedule k in
+  let dec = Bitslice_des.decrypt_schedule k in
+  (* the read side builds a cipher per session and never encrypts, so the
+     encrypt schedule is built on first use; racing domains would build
+     equal schedules, so the race is benign *)
+  let enc = Atomic.make None in
+  let encrypt_blocks buf ~pos ~nblocks =
+    let sched =
+      match Atomic.get enc with
+      | Some s -> s
+      | None ->
+          let s = Bitslice_des.encrypt_schedule k in
+          Atomic.set enc (Some s);
+          s
+    in
+    Bitslice_des.crypt_blocks_in_place sched buf ~pos ~nblocks
+  in
   {
     encrypt = Des.Triple.encrypt_block k;
     decrypt = Des.Triple.decrypt_block k;
-    decrypt_blocks = Some (Bitslice_des.decrypt_blocks sched);
+    decrypt_blocks = Some (Bitslice_des.crypt_blocks dec);
+    encrypt_blocks = Some encrypt_blocks;
   }
 
 (* Below this many blocks the bitsliced kernel's fixed per-pass cost (the
@@ -56,22 +76,7 @@ let ecb_encrypt c s =
   check_aligned "Modes.ecb_encrypt" s;
   map_blocks (fun _ b -> c.encrypt b) s
 
-let cbc_encrypt c ~iv s =
-  check_aligned "Modes.cbc_encrypt" s;
-  let prev = ref iv in
-  map_blocks
-    (fun _ b ->
-      let e = c.encrypt (Int64.logxor b !prev) in
-      prev := e;
-      e)
-    s
-
 let position_mask ~base i = Int64.of_int (base + (8 * i))
-
-let positional_encrypt c ~base s =
-  check_aligned "Modes.positional_encrypt" s;
-  if base mod 8 <> 0 then invalid_arg "Modes.positional_encrypt: unaligned base";
-  map_blocks (fun i b -> c.encrypt (Int64.logxor b (position_mask ~base i))) s
 
 (* In-place variants: decrypt a slice of [src] straight into [dst] without
    materialising an intermediate string. When the cipher carries a batched
@@ -113,6 +118,60 @@ let xor_iv_bytes dst pos iv =
       Bytes.unsafe_set dst (pos + k)
         (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst (pos + k)) lxor byte))
   done
+
+(* Encryption: the mode XOR goes in before the block cipher, so the
+   batched kernel runs in place over a buffer that already holds the
+   masked plaintext. *)
+
+let cbc_encrypt_into c ~iv ~src ~src_pos ~dst ~dst_pos ~len =
+  check_into "Modes.cbc_encrypt_into" ~src ~src_pos ~dst ~dst_pos ~len;
+  let prev = ref iv in
+  for i = 0 to (len / 8) - 1 do
+    let e =
+      c.encrypt
+        (Int64.logxor (Des.block_of_bytes src ~pos:(src_pos + (8 * i))) !prev)
+    in
+    Des.block_to_bytes dst ~pos:(dst_pos + (8 * i)) e;
+    prev := e
+  done
+
+let cbc_encrypt c ~iv s =
+  check_aligned "Modes.cbc_encrypt" s;
+  let len = String.length s in
+  let out = Bytes.create len in
+  cbc_encrypt_into c ~iv ~src:s ~src_pos:0 ~dst:out ~dst_pos:0 ~len;
+  Bytes.unsafe_to_string out
+
+let positional_encrypt_in_place c ~base buf ~pos ~len =
+  if len mod 8 <> 0 || len < 0 then
+    invalid_arg
+      "Modes.positional_encrypt_in_place: length must be a multiple of 8";
+  if base mod 8 <> 0 then
+    invalid_arg "Modes.positional_encrypt_in_place: unaligned base";
+  if pos < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Modes.positional_encrypt_in_place: range out of bounds";
+  let nblocks = len / 8 in
+  match c.encrypt_blocks with
+  | Some f when nblocks >= batch_threshold ->
+      for i = 0 to nblocks - 1 do
+        xor_mask_bytes buf (pos + (8 * i)) (base + (8 * i))
+      done;
+      f buf ~pos ~nblocks
+  | _ ->
+      for i = 0 to nblocks - 1 do
+        let p = pos + (8 * i) in
+        Des.block_to_bytes buf ~pos:p
+          (c.encrypt
+             (Int64.logxor (Bytes.get_int64_be buf p) (position_mask ~base i)))
+      done
+
+let positional_encrypt c ~base s =
+  check_aligned "Modes.positional_encrypt" s;
+  if base mod 8 <> 0 then
+    invalid_arg "Modes.positional_encrypt: unaligned base";
+  let buf = Bytes.of_string s in
+  positional_encrypt_in_place c ~base buf ~pos:0 ~len:(Bytes.length buf);
+  Bytes.unsafe_to_string buf
 
 let ecb_decrypt_into c ~src ~src_pos ~dst ~dst_pos ~len =
   check_into "Modes.ecb_decrypt_into" ~src ~src_pos ~dst ~dst_pos ~len;

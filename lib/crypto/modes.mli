@@ -23,6 +23,9 @@ type cipher = {
           one call and apply the mode XOR (CBC chaining, positional masks)
           as a bytewise second pass — this is how the bitsliced DES engine
           plugs in without the modes knowing about lanes. *)
+  encrypt_blocks : (Bytes.t -> pos:int -> nblocks:int -> unit) option;
+      (** Its encrypting twin, in place: {!positional_encrypt_in_place}
+          applies the positional masks first, then hands the run to it. *)
 }
 
 val of_des : Des.key -> cipher
@@ -30,15 +33,17 @@ val of_triple_des : Des.Triple.key -> cipher
 
 val of_triple_des_fast : Des.Triple.key -> cipher
 (** Same cipher as {!of_triple_des} plus the bitsliced batch kernel
-    ({!Bitslice_des}) for long decrypt runs; short runs and encryption
-    fall back to the scalar path. Byte-for-byte interchangeable with
+    ({!Bitslice_des}), with a decrypt and an encrypt schedule, for long
+    runs of positional-ECB and CBC decryption and of positional-ECB
+    encryption; short runs, and CBC encryption (whose chaining is
+    serial), stay on the scalar path. Byte-for-byte interchangeable with
     {!of_triple_des} — the differential suite pins this. *)
 
 val batch_threshold : int
-(** Minimum run length (in blocks) at which the [_into] decryptors hand a
-    run to [decrypt_blocks] instead of the scalar loop — the kernel's
-    break-even point. Exposed so callers can account batched work
-    deterministically. *)
+(** Minimum run length (in blocks) at which the [_into] decryptors and
+    {!positional_encrypt_in_place} hand a run to the batch kernel instead
+    of the scalar loop — the kernel's break-even point. Exposed so callers
+    can account batched work deterministically. *)
 
 val ecb_encrypt : cipher -> string -> string
 (** @raise Invalid_argument if the length is not a multiple of 8. *)
@@ -51,6 +56,26 @@ val cbc_decrypt : cipher -> iv:int64 -> string -> string
 val positional_encrypt : cipher -> base:int -> string -> string
 (** [base] is the absolute byte offset of the buffer's first byte in the
     document; it must be 8-byte aligned. *)
+
+val positional_encrypt_in_place :
+  cipher -> base:int -> Bytes.t -> pos:int -> len:int -> unit
+(** Encrypt [len] bytes of plaintext at [pos] in place; [base] is the
+    absolute document offset of [buf.[pos]] and must be 8-byte aligned,
+    [len] a multiple of 8. Runs of at least {!batch_threshold} blocks go
+    through the cipher's [encrypt_blocks] kernel when it has one.
+    @raise Invalid_argument on misalignment or an out-of-bounds range. *)
+
+val cbc_encrypt_into :
+  cipher ->
+  iv:int64 ->
+  src:string ->
+  src_pos:int ->
+  dst:Bytes.t ->
+  dst_pos:int ->
+  len:int ->
+  unit
+(** {!cbc_encrypt} of [len] bytes of [src] at [src_pos] straight into
+    [dst], scalar (each block chains on the previous ciphertext). *)
 
 val positional_decrypt : cipher -> base:int -> string -> string
 

@@ -130,21 +130,24 @@ let header_tag t =
   ^ be_bytes t.chunk_size 4 ^ be_bytes t.fragment_size 4
   ^ be_bytes t.payload_len 8
 
-let chunk_payload_digest t ~chunk ~data =
+let chunk_digest_sub t ~chunk data ~pos ~len =
   (* fed incrementally: concatenating would copy the whole chunk per digest *)
   match t.scheme with
   | Aes_ctr ->
       let ctx = Sha256.init () in
       Sha256.feed ctx (header_tag t);
       Sha256.feed ctx (be_bytes chunk 8);
-      Sha256.feed ctx data;
+      Sha256.feed_sub ctx data ~pos ~len;
       Sha256.finalize ctx
   | _ ->
       let ctx = Sha1.init () in
       Sha1.feed ctx (header_tag t);
       Sha1.feed ctx (be_bytes chunk 8);
-      Sha1.feed ctx data;
+      Sha1.feed_sub ctx data ~pos ~len;
       Sha1.finalize ctx
+
+let chunk_payload_digest t ~chunk ~data =
+  chunk_digest_sub t ~chunk data ~pos:0 ~len:(String.length data)
 
 let expected_digest_of_plain t ~chunk ~plain = chunk_payload_digest t ~chunk ~data:plain
 let expected_digest_of_cipher t ~chunk ~cipher = chunk_payload_digest t ~chunk ~data:cipher
@@ -172,29 +175,26 @@ let mht_root t ~chunk ~cipher =
   in
   Merkle.root_of_leaves leaves
 
-let clear_digest t ~key:_ ~chunk ~plain ~cipher =
+(* The padded plaintext of chunk [i] as a (buffer, offset) view: every
+   chunk but a short last one reads the payload in place; only that one
+   is padded, into a chunk-sized copy. *)
+let plain_view t payload i =
+  let base = i * t.chunk_size in
+  if base + t.chunk_size <= String.length payload then (payload, base)
+  else begin
+    let b = Bytes.make t.chunk_size '\000' in
+    Bytes.blit_string payload base b 0 (String.length payload - base);
+    (Bytes.unsafe_to_string b, 0)
+  end
+
+let clear_digest t ~chunk ~payload ~cipher =
   match t.scheme with
   | Ecb -> ""
-  | Cbc_sha -> expected_digest_of_plain t ~chunk ~plain
+  | Cbc_sha ->
+      let data, pos = plain_view t payload chunk in
+      chunk_digest_sub t ~chunk data ~pos ~len:t.chunk_size
   | Cbc_shac | Aes_ctr -> expected_digest_of_cipher t ~chunk ~cipher
   | Ecb_mht -> seal_root t ~chunk ~root:(mht_root t ~chunk ~cipher)
-
-let encrypt_digest ~scheme ~key ~chunk digest =
-  if digest = "" then ""
-  else
-    match scheme with
-    | Aes_ctr ->
-        let ak, nonce = aes_material key in
-        Aes.ctr_transform ak ~nonce
-          ~stream_pos:(digest_position_base scheme chunk)
-          digest
-    | _ ->
-        let padded =
-          digest ^ String.make (digest_blob_size - String.length digest) '\000'
-        in
-        Modes.positional_encrypt (Modes.of_triple_des key)
-          ~base:(digest_position_base scheme chunk)
-          padded
 
 (* Blob-taking variant: over the wire the digest arrives from an untrusted
    terminal, so its size is validated as an integrity property, not assumed. *)
@@ -229,28 +229,112 @@ let decrypt_digest t ~key chunk =
 let clear_root t ~chunk ~cipher =
   match t.scheme with Ecb_mht -> mht_root t ~chunk ~cipher | _ -> ""
 
-let encrypt_chunk_payload t ~key ~cipher ~chunk plain =
+(* Positional-ECB blocks are bound to absolute offsets, which run on across
+   chunk boundaries, so a run of consecutive chunks is one range of the
+   position space. It is encrypted a segment at a time — whole 63-block
+   kernel passes — through a bounded scratch buffer, and scattered into
+   the chunks; bytes past the payload's end are the zero padding. *)
+let segment_bytes = 8 * Bitslice_des.blocks_per_pass * 16
+
+let encrypt_positional_run t ~cipher ~payload ~first ~last =
+  let cs = t.chunk_size in
+  let out = Array.init (last - first + 1) (fun _ -> Bytes.create cs) in
+  let lo = first * cs and hi = (last + 1) * cs in
+  let scratch = Bytes.create (min segment_bytes (hi - lo)) in
+  let pos = ref lo in
+  while !pos < hi do
+    let len = min (Bytes.length scratch) (hi - !pos) in
+    let avail = max 0 (min len (String.length payload - !pos)) in
+    if avail > 0 then Bytes.blit_string payload !pos scratch 0 avail;
+    Bytes.fill scratch avail (len - avail) '\000';
+    Modes.positional_encrypt_in_place cipher ~base:!pos scratch ~pos:0 ~len;
+    let off = ref 0 in
+    while !off < len do
+      let at = !pos + !off in
+      let n = min (cs - (at mod cs)) (len - !off) in
+      Bytes.blit scratch !off out.((at / cs) - first) (at mod cs) n;
+      off := !off + n
+    done;
+    pos := !pos + len
+  done;
+  Array.iteri (fun k b -> t.chunks.(first + k) <- Bytes.unsafe_to_string b) out
+
+(* Payload ciphertext of the chunks [first..last]. CBC chains within a
+   chunk and AES-CTR needs no kernel: both go chunk by chunk. *)
+let encrypt_run t ~key ~cipher ~payload ~first ~last =
+  let per_chunk f =
+    for i = first to last do
+      let src, src_pos = plain_view t payload i in
+      let dst = Bytes.create t.chunk_size in
+      f i ~src ~src_pos ~dst;
+      t.chunks.(i) <- Bytes.unsafe_to_string dst
+    done
+  in
   match t.scheme with
-  | Ecb | Ecb_mht ->
-      Modes.positional_encrypt cipher ~base:(chunk * t.chunk_size) plain
-  | Cbc_sha | Cbc_shac -> Modes.cbc_encrypt cipher ~iv:(Int64.of_int chunk) plain
+  | Ecb | Ecb_mht -> encrypt_positional_run t ~cipher ~payload ~first ~last
+  | Cbc_sha | Cbc_shac ->
+      per_chunk (fun i ~src ~src_pos ~dst ->
+          Modes.cbc_encrypt_into cipher ~iv:(Int64.of_int i) ~src ~src_pos ~dst
+            ~dst_pos:0 ~len:t.chunk_size)
   | Aes_ctr ->
       let ak, nonce = aes_material key in
-      Aes.ctr_transform ak ~nonce ~stream_pos:(chunk * t.chunk_size) plain
+      per_chunk (fun i ~src ~src_pos ~dst ->
+          Aes.ctr_xor_into ak ~nonce ~src ~src_pos ~dst ~dst_pos:0
+            ~len:t.chunk_size ~stream_pos:(i * t.chunk_size))
 
-(* Digest of a chunk, reusing the cached clear MHT root when available so
-   resealing an untouched chunk costs one small hash, not a tree rebuild. *)
-let seal_chunk t ~key ~chunk ~plain ~encrypted =
-  let digest =
-    match t.scheme with
-    | Ecb_mht when t.roots.(chunk) <> "" ->
-        seal_root t ~chunk ~root:t.roots.(chunk)
-    | _ -> clear_digest t ~key ~chunk ~plain ~cipher:encrypted
-  in
-  encrypt_digest ~scheme:t.scheme ~key ~chunk digest
+(* [f first last] for every run of consecutive flagged chunks. *)
+let iter_runs flags f =
+  let n = Array.length flags in
+  let i = ref 0 in
+  while !i < n do
+    if not flags.(!i) then incr i
+    else begin
+      let first = !i in
+      while !i < n && flags.(!i) do
+        incr i
+      done;
+      f first (!i - 1)
+    end
+  done
 
-let encrypt ?(chunk_size = 2048) ?(fragment_size = 256) ?(generation = 0)
-    ?(key_epoch = 0) ~scheme ~key payload =
+(* Clear digest of a chunk, reusing the cached clear MHT root when available
+   so resealing an untouched chunk costs one small hash, not a tree
+   rebuild. *)
+let chunk_digest t ~chunk ~payload =
+  match t.scheme with
+  | Ecb_mht when t.roots.(chunk) <> "" ->
+      seal_root t ~chunk ~root:t.roots.(chunk)
+  | _ -> clear_digest t ~chunk ~payload ~cipher:t.chunks.(chunk)
+
+(* Seal the chunks [first..last]. Consecutive chunks' digest blobs are
+   consecutive in the digest position space, so they are encrypted
+   together: one kernel run (and, for AES-CTR, one key derivation) instead
+   of one small encryption per chunk. A DES blob is the digest zero-padded
+   to three blocks. *)
+let seal_run t ~key ~cipher ~payload ~first ~last =
+  let blob = digest_blob_size_for t.scheme in
+  if blob > 0 then begin
+    let buf = Bytes.make ((last - first + 1) * blob) '\000' in
+    for i = first to last do
+      let d = chunk_digest t ~chunk:i ~payload in
+      Bytes.blit_string d 0 buf ((i - first) * blob) (String.length d)
+    done;
+    let base = digest_position_base t.scheme first in
+    (match t.scheme with
+    | Aes_ctr ->
+        let ak, nonce = aes_material key in
+        Aes.ctr_xor_into ak ~nonce ~src:(Bytes.to_string buf) ~src_pos:0
+          ~dst:buf ~dst_pos:0 ~len:(Bytes.length buf) ~stream_pos:base
+    | _ ->
+        Modes.positional_encrypt_in_place cipher ~base buf ~pos:0
+          ~len:(Bytes.length buf));
+    for i = first to last do
+      t.digests.(i) <- Bytes.sub_string buf ((i - first) * blob) blob
+    done
+  end
+
+let encrypt ?(engine = Engine.Fast) ?(chunk_size = 2048) ?(fragment_size = 256)
+    ?(generation = 0) ?(key_epoch = 0) ~scheme ~key payload =
   if chunk_size mod 8 <> 0 || fragment_size mod 8 <> 0 then
     invalid_arg "Secure_container.encrypt: sizes must be multiples of 8";
   if chunk_size mod fragment_size <> 0
@@ -261,8 +345,6 @@ let encrypt ?(chunk_size = 2048) ?(fragment_size = 256) ?(generation = 0)
     invalid_arg "Secure_container.encrypt: bad generation or key epoch";
   let payload_len = String.length payload in
   let nchunks = max 1 ((payload_len + chunk_size - 1) / chunk_size) in
-  let padded = payload ^ String.make ((nchunks * chunk_size) - payload_len) '\000' in
-  let cipher = Modes.of_triple_des key in
   let t =
     {
       scheme;
@@ -277,14 +359,31 @@ let encrypt ?(chunk_size = 2048) ?(fragment_size = 256) ?(generation = 0)
       roots = Array.make nchunks "";
     }
   in
+  let cipher = Engine.cipher engine key in
+  encrypt_run t ~key ~cipher ~payload ~first:0 ~last:(nchunks - 1);
   for i = 0 to nchunks - 1 do
-    let plain = String.sub padded (i * chunk_size) chunk_size in
-    let encrypted = encrypt_chunk_payload t ~key ~cipher ~chunk:i plain in
-    t.chunks.(i) <- encrypted;
-    t.roots.(i) <- clear_root t ~chunk:i ~cipher:encrypted;
-    t.digests.(i) <- seal_chunk t ~key ~chunk:i ~plain ~encrypted
+    t.roots.(i) <- clear_root t ~chunk:i ~cipher:t.chunks.(i)
   done;
+  seal_run t ~key ~cipher ~payload ~first:0 ~last:(nchunks - 1);
   t
+
+(* Whether chunk [i]'s zero-padded plaintext differs between two payloads:
+   words over the part both payloads cover, bytes over the rest. *)
+let chunk_differs ~chunk_size a b i =
+  let lo = i * chunk_size and hi = (i + 1) * chunk_size in
+  let la = String.length a and lb = String.length b in
+  let byte s l j = if j < l then String.unsafe_get s j else '\000' in
+  let both = max lo (min hi (min la lb)) in
+  let j = ref lo and diff = ref false in
+  while (not !diff) && !j + 8 <= both do
+    if String.get_int64_ne a !j <> String.get_int64_ne b !j then diff := true;
+    j := !j + 8
+  done;
+  while (not !diff) && !j < hi do
+    if byte a la !j <> byte b lb !j then diff := true;
+    incr j
+  done;
+  !diff
 
 (* Incremental republication: re-encrypt only the chunks whose padded
    plaintext actually moved, reuse everything else physically, and bump the
@@ -296,7 +395,7 @@ let encrypt ?(chunk_size = 2048) ?(fragment_size = 256) ?(generation = 0)
    chunks are {e resealed} — their ciphertext, and for ECB-MHT their cached
    subtree hashes, are reused — which is hashing work only, never payload
    re-encryption. *)
-let reencrypt t ~key ~old_payload ~payload =
+let reencrypt ?(engine = Engine.Fast) t ~key ~old_payload ~payload =
   if String.length old_payload <> t.payload_len then
     invalid_arg "Secure_container.reencrypt: old payload length mismatch";
   if Array.exists (fun c -> c = "") t.chunks then
@@ -305,21 +404,11 @@ let reencrypt t ~key ~old_payload ~payload =
   let old_len = t.payload_len and new_len = String.length payload in
   let old_chunks = Array.length t.chunks in
   let nchunks = max 1 ((new_len + chunk_size - 1) / chunk_size) in
-  let padded = payload ^ String.make ((nchunks * chunk_size) - new_len) '\000' in
-  let old_padded =
-    old_payload ^ String.make ((old_chunks * chunk_size) - old_len) '\000'
-  in
   let generation = t.generation + 1 in
-  let dirty = Array.make nchunks false in
-  for i = 0 to nchunks - 1 do
-    if i >= old_chunks then dirty.(i) <- true
-    else
-      let base = i * chunk_size in
-      let rec differs j =
-        j < chunk_size && (old_padded.[base + j] <> padded.[base + j] || differs (j + 1))
-      in
-      if differs 0 then dirty.(i) <- true
-  done;
+  let dirty =
+    Array.init nchunks (fun i ->
+        i >= old_chunks || chunk_differs ~chunk_size old_payload payload i)
+  in
   (* shrinking truncates trailing chunks: the last surviving chunk is
      re-sealed even when its bytes happen to be unchanged (mirrors the
      [Update] cost rule, so predicted and actual chunk sets coincide) *)
@@ -335,18 +424,14 @@ let reencrypt t ~key ~old_payload ~payload =
       roots = Array.make nchunks "";
     }
   in
-  let cipher = Modes.of_triple_des key in
-  let reseal_all = new_len <> old_len in
+  let cipher = Engine.cipher engine key in
+  iter_runs dirty (fun first last ->
+      encrypt_run t' ~key ~cipher ~payload ~first ~last);
   let rewritten = ref [] in
   for i = nchunks - 1 downto 0 do
-    let plain () = String.sub padded (i * chunk_size) chunk_size in
     if dirty.(i) then begin
       rewritten := i :: !rewritten;
-      let plain = plain () in
-      let encrypted = encrypt_chunk_payload t' ~key ~cipher ~chunk:i plain in
-      t'.chunks.(i) <- encrypted;
-      t'.roots.(i) <- clear_root t' ~chunk:i ~cipher:encrypted;
-      t'.digests.(i) <- seal_chunk t' ~key ~chunk:i ~plain ~encrypted
+      t'.roots.(i) <- clear_root t' ~chunk:i ~cipher:t'.chunks.(i)
     end
     else begin
       (* physical reuse: unchanged ciphertext (and subtree hashes) are the
@@ -354,11 +439,15 @@ let reencrypt t ~key ~old_payload ~payload =
       t'.chunks.(i) <- t.chunks.(i);
       t'.roots.(i) <- t.roots.(i);
       t'.versions.(i) <- t.versions.(i);
-      t'.digests.(i) <-
-        (if reseal_all then seal_chunk t' ~key ~chunk:i ~plain:(plain ()) ~encrypted:t.chunks.(i)
-         else t.digests.(i))
+      t'.digests.(i) <- t.digests.(i)
     end
   done;
+  (* a length change reseals every chunk, clean ones included *)
+  if new_len <> old_len then
+    seal_run t' ~key ~cipher ~payload ~first:0 ~last:(nchunks - 1)
+  else
+    iter_runs dirty (fun first last ->
+        seal_run t' ~key ~cipher ~payload ~first ~last);
   (t', !rewritten)
 
 (* A pristine (generation 0, epoch 0) container serializes in the original

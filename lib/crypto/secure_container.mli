@@ -72,6 +72,7 @@ val digest_bytes : t -> int
 (** Total size of the (encrypted) chunk digests. *)
 
 val encrypt :
+  ?engine:Engine.t ->
   ?chunk_size:int ->
   ?fragment_size:int ->
   ?generation:int ->
@@ -83,9 +84,18 @@ val encrypt :
 (** Build a container. [chunk_size] (default 2048) must be a multiple of
     [fragment_size] (default 256) with a power-of-two ratio; both must be
     multiples of 8. [generation] and [key_epoch] default to 0 (a pristine
-    publication); a key rotation republishes with both bumped. *)
+    publication); a key rotation republishes with both bumped.
+
+    Positional-ECB payloads (ECB, ECB-MHT) are encrypted run by run in the
+    position space, so consecutive chunks share full 63-block passes of
+    the bitsliced kernel; the digest blobs of a run are encrypted
+    together in the same way. [engine] (default [Fast]) only picks the 3DES
+    implementation: [Reference] runs the scalar cipher, which gives the
+    same bytes and serves as the tests' reference. CBC stays scalar under
+    both (its chaining is serial), and AES-CTR ignores [engine]. *)
 
 val reencrypt :
+  ?engine:Engine.t ->
   t ->
   key:Des.Triple.key ->
   old_payload:string ->
@@ -101,8 +111,11 @@ val reencrypt :
     reseal recomputes no fragment hash). Returns the new container and the
     sorted rewritten-chunk list. When the payload length changes, clean
     chunks are resealed (digest-only rewrite) because every digest binds
-    the header geometry. @raise Invalid_argument if [old_payload] does not
-    match [payload_length t], or on a ciphertext-less geometry view. *)
+    the header geometry. Dirty chunks are found in one pass over both
+    payloads, and runs of consecutive dirty chunks are encrypted as in
+    {!encrypt}, with the same [engine]. @raise Invalid_argument if
+    [old_payload] does not match [payload_length t], or on a
+    ciphertext-less geometry view. *)
 
 val to_bytes : t -> string
 (** Serialized container (header + chunks), as stored on the server /

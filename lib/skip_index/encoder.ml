@@ -62,28 +62,35 @@ let is_intermediate = function
   | Elem { desctag; _ } -> Array.length desctag > 0
   | Text _ -> false
 
-(* Field widths for one element, given its parent's context. In the
-   recursive layout both derive from the parent; otherwise they are global.
-   [global_size_width] is the width used by TCS/TCSB (derived from the whole
-   body size). *)
-let element_widths layout ~dict_size ~global_size_width ~parent_set ~parent_size node =
-  match node with
-  | Text _ -> invalid_arg "element_widths: text"
-  | Elem _ -> (
-      match layout with
-      | Layout.Nc -> invalid_arg "element_widths: NC"
-      | Layout.Tc -> (Bitio.bits_for_index dict_size, 0, 0)
-      | Layout.Tcs -> (Bitio.bits_for_index dict_size, global_size_width, 0)
-      | Layout.Tcsb ->
-          ( Bitio.bits_for_index dict_size,
-            global_size_width,
-            if is_intermediate node then dict_size else 0 )
-      | Layout.Tcsbr ->
-          ( Bitio.bits_for_index (Array.length parent_set),
-            Bitio.bits_for_value parent_size,
-            if is_intermediate node then Array.length parent_set else 0 ))
+(* Field widths (tag, size, bitmap) of one element header, given its
+   parent's context. In the recursive layout they derive from the parent's
+   descendant-tag set and content size; otherwise they are global, and
+   [global_size_width] is the width TCS/TCSB derive from the whole body
+   size. *)
+let widths layout ~dict_size ~global_size_width ~parent_set_size ~parent_size
+    ~intermediate =
+  match layout with
+  | Layout.Nc -> invalid_arg "Skip_index.Encoder: NC has no element headers"
+  | Layout.Tc -> (Bitio.bits_for_index dict_size, 0, 0)
+  | Layout.Tcs -> (Bitio.bits_for_index dict_size, global_size_width, 0)
+  | Layout.Tcsb ->
+      ( Bitio.bits_for_index dict_size,
+        global_size_width,
+        if intermediate then dict_size else 0 )
+  | Layout.Tcsbr ->
+      ( Bitio.bits_for_index parent_set_size,
+        Bitio.bits_for_value parent_size,
+        if intermediate then parent_set_size else 0 )
 
 let header_bytes_of_bits bits = (bits + 7) / 8
+
+let header_length layout ~dict_size ~global_size_width ~parent_set_size
+    ~parent_size ~intermediate =
+  let tag_w, size_w, bitmap_w =
+    widths layout ~dict_size ~global_size_width ~parent_set_size ~parent_size
+      ~intermediate
+  in
+  header_bytes_of_bits (2 + tag_w + size_w + bitmap_w)
 
 (* One fixpoint round: recompute every element's encoded-children size using
    the sizes of the previous round for field widths. Returns the body size
@@ -94,11 +101,11 @@ let fixpoint_round layout ~dict_size ~global_size_width ~full_set ~prev_body roo
     | Text s -> Wire.text_overhead (String.length s) + String.length s
     | Elem e ->
         let prev_self = e.size in
-        let tag_w, size_w, bitmap_w =
-          element_widths layout ~dict_size ~global_size_width ~parent_set
-            ~parent_size node
+        let header =
+          header_length layout ~dict_size ~global_size_width
+            ~parent_set_size:(Array.length parent_set) ~parent_size
+            ~intermediate:(is_intermediate node)
         in
-        let header = header_bytes_of_bits (2 + tag_w + size_w + bitmap_w) in
         let content =
           Array.fold_left
             (fun acc child ->
@@ -144,52 +151,67 @@ let resolve_sizes layout ~dict_size ~full_set root =
    unchanged, so the sizes stored in the nodes are consistent with the
    widths derived from them. *)
 
-let write_body layout ~dict_size ~body_size ~full_set w root =
-  let global_size_width = Bitio.bits_for_value body_size in
-  let rec emit ~parent_set ~parent_size node =
-    match node with
-    | Text s ->
-        Bitio.Writer.bits w ~width:2 Wire.kind_text;
-        Bitio.Writer.varint w (String.length s);
-        Bitio.Writer.bytes w s
-    | Elem e ->
-        let tag_w, size_w, bitmap_w =
-          element_widths layout ~dict_size ~global_size_width ~parent_set
-            ~parent_size node
-        in
-        let kind =
-          if is_intermediate node then Wire.kind_intermediate else Wire.kind_leaf
-        in
-        Bitio.Writer.bits w ~width:2 kind;
-        let tag_code =
-          match layout with
-          | Layout.Tcsbr -> index_in_set parent_set e.tag
-          | _ -> e.tag
-        in
-        Bitio.Writer.bits w ~width:tag_w tag_code;
-        Bitio.Writer.bits w ~width:size_w e.size;
-        if bitmap_w > 0 then begin
-          (* one membership bit per tag of the reference set, MSB first;
-             written bit by bit since the set can exceed the word size *)
-          let member = Int_set.of_seq (Array.to_seq e.desctag) in
-          let reference =
-            match layout with
-            | Layout.Tcsbr -> parent_set
-            | _ -> Array.init dict_size Fun.id
-          in
-          Array.iter
-            (fun t ->
-              Bitio.Writer.bits w ~width:1 (if Int_set.mem t member then 1 else 0))
-            reference
-        end;
-        Bitio.Writer.align w;
-        Array.iter (emit ~parent_set:e.desctag ~parent_size:e.size) e.children;
-        if layout = Layout.Tc then begin
-          Bitio.Writer.bits w ~width:2 Wire.kind_close;
-          Bitio.Writer.align w
-        end
+(* One element header: kind, tag code, size field and (for the bitmap
+   layouts) one membership bit per tag of the reference set, MSB first,
+   padded to a byte frontier. [desctag] is only read when the layout
+   records bitmaps. *)
+let write_header w layout ~dict_size ~global_size_width ~parent_set
+    ~parent_size ~tag ~desctag ~intermediate ~size =
+  let tag_w, size_w, bitmap_w =
+    widths layout ~dict_size ~global_size_width
+      ~parent_set_size:(Array.length parent_set) ~parent_size ~intermediate
   in
-  emit ~parent_set:full_set ~parent_size:body_size root
+  Bitio.Writer.bits w ~width:2
+    (if intermediate then Wire.kind_intermediate else Wire.kind_leaf);
+  let tag_code =
+    match layout with Layout.Tcsbr -> index_in_set parent_set tag | _ -> tag
+  in
+  Bitio.Writer.bits w ~width:tag_w tag_code;
+  Bitio.Writer.bits w ~width:size_w size;
+  if bitmap_w > 0 then begin
+    (* both sets are sorted: one merge walk; written bit by bit since the
+       reference set can exceed the word size *)
+    let j = ref 0 in
+    let bit t =
+      while !j < Array.length desctag && desctag.(!j) < t do
+        incr j
+      done;
+      Bitio.Writer.bits w ~width:1
+        (if !j < Array.length desctag && desctag.(!j) = t then 1 else 0)
+    in
+    match layout with
+    | Layout.Tcsbr -> Array.iter bit parent_set
+    | _ ->
+        for t = 0 to dict_size - 1 do
+          bit t
+        done
+  end;
+  Bitio.Writer.align w
+
+let rec emit layout ~dict_size ~global_size_width w ~parent_set ~parent_size
+    node =
+  match node with
+  | Text s ->
+      Bitio.Writer.bits w ~width:2 Wire.kind_text;
+      Bitio.Writer.varint w (String.length s);
+      Bitio.Writer.bytes w s
+  | Elem e ->
+      write_header w layout ~dict_size ~global_size_width ~parent_set
+        ~parent_size ~tag:e.tag ~desctag:e.desctag
+        ~intermediate:(is_intermediate node) ~size:e.size;
+      Array.iter
+        (emit layout ~dict_size ~global_size_width w ~parent_set:e.desctag
+           ~parent_size:e.size)
+        e.children;
+      if layout = Layout.Tc then begin
+        Bitio.Writer.bits w ~width:2 Wire.kind_close;
+        Bitio.Writer.align w
+      end
+
+let write_body layout ~dict_size ~body_size ~full_set w root =
+  emit layout ~dict_size
+    ~global_size_width:(Bitio.bits_for_value body_size)
+    w ~parent_set:full_set ~parent_size:body_size root
 
 let encode ~layout tree =
   let w = Bitio.Writer.create () in
@@ -218,6 +240,59 @@ let encode ~layout tree =
       Bitio.Writer.varint w body_size;
       write_body layout ~dict_size:(Dict.size dict) ~body_size ~full_set w root);
   Bitio.Writer.contents w
+
+(* Splice building blocks (see the interface). *)
+
+type fragment =
+  | Element_fragment of {
+      tag : int;
+      desctag : int array;
+      size : int;
+      content : string;
+    }
+  | Text_fragment of string
+
+let encode_fragment ~layout ~dict ~global_size_width tree =
+  let dict_size = Dict.size dict in
+  let w = Bitio.Writer.create () in
+  match annotate dict tree with
+  | Text _ as node ->
+      emit layout ~dict_size ~global_size_width w ~parent_set:[||]
+        ~parent_size:0 node;
+      Some (Text_fragment (Bitio.Writer.contents w))
+  | Elem e as node ->
+      (* the full encoder's fixpoint, run over the subtree alone under a
+         fixed stand-in parent context: an element's content depends only
+         on its own subtree (and, under TCS/TCSB, on the document-wide
+         width passed in), so the sizes it settles on are the ones the
+         whole-document fixpoint reaches *)
+      let full_set = Array.init dict_size Fun.id in
+      let rec settle prev =
+        let total =
+          fixpoint_round layout ~dict_size ~global_size_width ~full_set
+            ~prev_body:0 node
+        in
+        if total <> prev then settle total
+      in
+      settle (-1);
+      if
+        layout <> Layout.Tcsbr
+        && Bitio.bits_for_value e.size > global_size_width
+      then None
+      else begin
+        Array.iter
+          (emit layout ~dict_size ~global_size_width w ~parent_set:e.desctag
+             ~parent_size:e.size)
+          e.children;
+        Some
+          (Element_fragment
+             {
+               tag = e.tag;
+               desctag = e.desctag;
+               size = e.size;
+               content = Bitio.Writer.contents w;
+             })
+      end
 
 let encode_result ~layout tree =
   match encode ~layout tree with

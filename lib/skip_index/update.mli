@@ -5,10 +5,19 @@
     changes its ancestors' SubtreeSize fields; crossing a power of two
     changes field widths in whole regions, and a tag-dictionary change
     re-encodes everything. This module applies an update and {e measures}
-    that propagation: the new encoding is produced by re-encoding (always
-    correct), and the byte diff against the old encoding tells how much of
-    the document an in-place updater — and the re-encryption of the secure
-    container — would have to touch. *)
+    that propagation. For the layouts that record sizes (TCS, TCSB, TCSBR)
+    the new encoding is {e spliced}: the old encoding is walked down the
+    edit path with the decoder's skips, only the new subtree is encoded,
+    and the path's headers are rebuilt — together with the children's
+    headers of any ancestor whose size crosses a power of two or whose
+    descendant-tag set changes, iterated to the encoder's least size
+    fixpoint — while every other byte is copied. TC, a tag entering or
+    leaving the dictionary, and a change of a document-wide field width
+    fall back to re-encoding the whole tree ({!update_encoded_reference}),
+    which stays the oracle: both paths give the same bytes. The byte diff
+    against the old encoding tells how much of the document an in-place
+    updater — and the re-encryption of the secure container — would have
+    to touch. *)
 
 type path = int list
 (** Child indexes among {e all} children (elements and texts), from the
@@ -53,8 +62,28 @@ val update_encoded :
   string * cost
 (** Apply [operation] to an encoded document; returns the new encoding and
     the update cost. [chunk_size] (default 2048) only affects
-    [chunks_to_reencrypt]. @raise Invalid_argument as {!apply_to_tree}, or
-    on the NC layout. *)
+    [chunks_to_reencrypt]. The splice expects a canonical encoding, i.e.
+    one {!Encoder.encode} produced (every container payload is); other
+    well-formed encodings are spliced as they stand. It reads only the
+    headers along the edit path (and the removed subtree), so corruption
+    elsewhere is copied, not detected: validate with
+    {!Decoder.events_result} where the input is untrusted.
+    @raise Invalid_argument as {!apply_to_tree}, or on the NC layout;
+    @raise Error.Error ([Corrupt]) on malformed bytes it reads. *)
+
+val update_encoded_reference :
+  ?chunk_size:int ->
+  layout:Layout.t ->
+  string ->
+  operation ->
+  string * cost
+(** The same update by decoding the whole tree, applying {!apply_to_tree}
+    and re-encoding with {!Encoder.encode}: the oracle the splice is
+    tested against, and its fallback. *)
+
+val splice : layout:Layout.t -> string -> operation -> string option
+(** The splice alone: [None] where {!update_encoded} falls back to
+    re-encoding. @raise Invalid_argument as {!apply_to_tree}. *)
 
 val decode_tree : string -> Xmlac_xml.Tree.t
 (** Decode a whole encoded document back to a tree (any layout but NC). *)

@@ -367,7 +367,7 @@ let test_bitslice_kernel_differential () =
         (fun b0 ->
           if 8 * (b0 + nblocks) <= String.length src then begin
             let dst = Bytes.make ((8 * nblocks) + 4) '\xEE' in
-            Bitslice_des.decrypt_blocks sched ~src ~src_pos:(8 * b0) ~dst
+            Bitslice_des.crypt_blocks sched ~src ~src_pos:(8 * b0) ~dst
               ~dst_pos:0 ~nblocks;
             let expected =
               Modes.ecb_decrypt reference (String.sub src (8 * b0) (8 * nblocks))
@@ -382,6 +382,58 @@ let test_bitslice_kernel_differential () =
         [ 0; 1; 3 ])
     [ 1; 2; 15; 16; 17; 62; 63; 64; 126; 127; 128; 256 ]
 
+(* The encrypt schedule turns the same kernel into EDE encryption: raw ECB
+   against the scalar cipher, then through the positional mode at a
+   non-zero base, below and above the batch threshold and across the
+   lane width. *)
+let test_bitslice_encrypt_differential () =
+  let key = test_key () in
+  let sched = Bitslice_des.encrypt_schedule key in
+  let reference = Modes.of_triple_des key
+  and fast = Modes.of_triple_des_fast key in
+  List.iter
+    (fun nblocks ->
+      let plain =
+        String.init (8 * nblocks) (fun i ->
+            Char.chr (((i * 73) + nblocks) mod 256))
+      in
+      let buf = Bytes.of_string (plain ^ "\xEE\xEE\xEE\xEE") in
+      Bitslice_des.crypt_blocks_in_place sched buf ~pos:0 ~nblocks;
+      check string_t
+        (Printf.sprintf "encrypt kernel = scalar (%d blocks)" nblocks)
+        (Modes.ecb_encrypt reference plain)
+        (Bytes.sub_string buf 0 (8 * nblocks));
+      check string_t "no overwrite past the run" "\xEE\xEE\xEE\xEE"
+        (Bytes.sub_string buf (8 * nblocks) 4);
+      List.iter
+        (fun base ->
+          check string_t
+            (Printf.sprintf "positional encrypt = scalar (%d blocks at %d)"
+               nblocks base)
+            (Modes.positional_encrypt reference ~base plain)
+            (Modes.positional_encrypt fast ~base plain))
+        [ 0; 8; 4096 + 2048 ])
+    [ 1; 15; 16; 62; 63; 64; 126; 127 ]
+
+let test_positional_encrypt_in_place_misuse () =
+  let c = Modes.of_triple_des_fast (test_key ()) in
+  let rejected f = match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check bool_t "unaligned base rejected" true
+    (rejected (fun () ->
+         Modes.positional_encrypt_in_place c ~base:4 (Bytes.create 256) ~pos:0
+           ~len:256));
+  check bool_t "overrun rejected" true
+    (rejected (fun () ->
+         Modes.positional_encrypt_in_place c ~base:0 (Bytes.create 256) ~pos:8
+           ~len:256));
+  check bool_t "unaligned length rejected" true
+    (rejected (fun () ->
+         Modes.positional_encrypt_in_place c ~base:0 (Bytes.create 256) ~pos:0
+           ~len:250))
+
 let test_bitslice_kernel_bounds_checked () =
   let sched = Bitslice_des.decrypt_schedule (test_key ()) in
   let rejected f = match f () with
@@ -390,11 +442,11 @@ let test_bitslice_kernel_bounds_checked () =
   in
   check bool_t "source overrun rejected" true
     (rejected (fun () ->
-         Bitslice_des.decrypt_blocks sched ~src:(String.make 64 'x') ~src_pos:8
+         Bitslice_des.crypt_blocks sched ~src:(String.make 64 'x') ~src_pos:8
            ~dst:(Bytes.create 64) ~dst_pos:0 ~nblocks:8));
   check bool_t "destination overrun rejected" true
     (rejected (fun () ->
-         Bitslice_des.decrypt_blocks sched ~src:(String.make 64 'x') ~src_pos:0
+         Bitslice_des.crypt_blocks sched ~src:(String.make 64 'x') ~src_pos:0
            ~dst:(Bytes.create 63) ~dst_pos:0 ~nblocks:8))
 
 (* The fast cipher must be byte-for-byte the reference cipher through every
@@ -693,6 +745,55 @@ let test_invalid_geometry_rejected () =
         (Secure_container.encrypt ~chunk_size:768 ~fragment_size:256
            ~scheme:Secure_container.Ecb_mht ~key "x"))
 
+(* Publisher-side encryption runs through the bitsliced kernel for the
+   positional schemes; the scalar engine is the reference, and the
+   serialized containers must be identical. Payload lengths straddle chunk
+   boundaries, and the edits dirty isolated chunks, runs of chunks, a
+   shifted tail, a shrink and an extension. *)
+let container_engines_agree scheme () =
+  let key = test_key () in
+  let same name a b =
+    check string_t name
+      (Secure_container.to_bytes a)
+      (Secure_container.to_bytes b)
+  in
+  List.iter
+    (fun len ->
+      let p = payload len in
+      let build engine =
+        Secure_container.encrypt ~engine ~chunk_size:512 ~fragment_size:64
+          ~generation:3 ~key_epoch:1 ~scheme ~key p
+      in
+      let fast = build Engine.Fast and reference = build Engine.Reference in
+      same (Printf.sprintf "encrypt, %d bytes" len) fast reference;
+      let edits =
+        [
+          String.mapi (fun i c -> if i mod 1500 = 7 then 'Z' else c) p;
+          String.sub p 0 (len / 3)
+          ^ "inserted"
+          ^ String.sub p (len / 3) (len - (len / 3));
+          String.sub p 0 (len / 2);
+          p ^ String.make 700 'q';
+        ]
+      in
+      List.iter
+        (fun p' ->
+          let f, fr =
+            Secure_container.reencrypt fast ~key ~old_payload:p ~payload:p'
+          in
+          let r, rr =
+            Secure_container.reencrypt ~engine:Engine.Reference reference ~key
+              ~old_payload:p ~payload:p'
+          in
+          check (Alcotest.list int_t) "same rewritten chunks" rr fr;
+          same
+            (Printf.sprintf "reencrypt, %d -> %d bytes" len (String.length p'))
+            f r;
+          check string_t "decrypts to the new payload" p'
+            (Secure_container.decrypt_all f ~key ~verify:true))
+        edits)
+    [ 1; 511; 512; 4000; 9000 ]
+
 let scheme_suites =
   List.concat_map
     (fun scheme ->
@@ -700,6 +801,8 @@ let scheme_suites =
       [
         Alcotest.test_case (name ^ " roundtrip") `Quick (container_roundtrip scheme);
         Alcotest.test_case (name ^ " serialization") `Quick (container_serialization scheme);
+        Alcotest.test_case (name ^ " fast ≡ scalar encryption") `Quick
+          (container_engines_agree scheme);
       ])
     Secure_container.all_schemes
   @ List.filter_map
@@ -817,6 +920,10 @@ let () =
             test_bitslice_kernel_differential;
           Alcotest.test_case "kernel bounds checks" `Quick
             test_bitslice_kernel_bounds_checked;
+          Alcotest.test_case "encrypt kernel ≡ scalar" `Quick
+            test_bitslice_encrypt_differential;
+          Alcotest.test_case "in-place positional encrypt misuse" `Quick
+            test_positional_encrypt_in_place_misuse;
         ]
         @ fast_engine_differential );
       ( "merkle",

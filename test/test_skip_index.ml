@@ -594,6 +594,279 @@ let test_update_grows_sizes_upward () =
   check bool_t "document grew" true (cost.Update.new_bytes > cost.Update.old_bytes);
   check bool_t "some shared prefix remains" true (cost.Update.unchanged_prefix > 0)
 
+(* The splice against the full re-encode ----------------------------------- *)
+
+(* The cost record straight from its definition in update.mli, byte by
+   byte: the oracle both update paths are held to. *)
+let naive_cost ~chunk_size ~dictionary_changed a b =
+  let la = String.length a and lb = String.length b in
+  let shared = min la lb in
+  let prefix = ref 0 in
+  while !prefix < shared && a.[!prefix] = b.[!prefix] do
+    incr prefix
+  done;
+  let suffix = ref 0 in
+  while
+    !suffix < min (la - !prefix) (lb - !prefix)
+    && a.[la - 1 - !suffix] = b.[lb - 1 - !suffix]
+  do
+    incr suffix
+  done;
+  let dirty = ref [] and rewritten = ref 0 in
+  let mark c = if not (List.mem c !dirty) then dirty := c :: !dirty in
+  for i = 0 to lb - 1 do
+    if i >= shared || a.[i] <> b.[i] then begin
+      incr rewritten;
+      mark (i / chunk_size)
+    end
+  done;
+  if lb < la && lb > 0 then mark ((lb - 1) / chunk_size);
+  let dirty = List.sort compare !dirty in
+  {
+    Update.old_bytes = la;
+    new_bytes = lb;
+    unchanged_prefix = !prefix;
+    unchanged_suffix = !suffix;
+    rewritten_bytes = !rewritten;
+    chunks_to_reencrypt = List.length dirty;
+    chunks_dirty = dirty;
+    dictionary_changed;
+  }
+
+let binary_layouts = [ Layout.Tc; Layout.Tcs; Layout.Tcsb; Layout.Tcsbr ]
+
+let rec node_paths path node acc =
+  let acc = (List.rev path, node) :: acc in
+  match node with
+  | Tree.Text _ -> acc
+  | Tree.Element { children; _ } ->
+      snd
+        (List.fold_left
+           (fun (i, acc) c -> (i + 1, node_paths (i :: path) c acc))
+           (0, acc) children)
+
+(* Random edits anywhere in a random tree: all four operations, new nodes
+   drawn from the tree itself (the dictionary stays), from fresh trees
+   over the same alphabet, as texts long enough to push sizes across
+   powers of two, or with a tag the document lacks. *)
+let gen_splice_case =
+  let open QCheck2.Gen in
+  let text = string_size ~gen:(char_range 'a' 'z') (int_range 0 300) in
+  Testkit.gen_tree >>= fun tree ->
+  let nodes = node_paths [] tree [] in
+  let node =
+    frequency
+      [
+        (3, oneofl (List.map snd nodes));
+        (1, Testkit.gen_tree);
+        (1, map Tree.text text);
+        (1, return (Tree.element "zz" [ Tree.text "new" ]));
+      ]
+  in
+  let elements =
+    List.filter_map
+      (function
+        | p, Tree.Element { children; _ } -> Some (p, List.length children)
+        | _, Tree.Text _ -> None)
+      nodes
+  in
+  let texts =
+    List.filter_map (function p, Tree.Text _ -> Some p | _ -> None) nodes
+  in
+  let below_root = List.filter (( <> ) []) (List.map fst nodes) in
+  let ops =
+    [
+      ( oneofl elements >>= fun (p, n) ->
+        int_range 0 n >>= fun i ->
+        node >|= fun t -> Update.Insert_child (p, i, t) );
+    ]
+    @ (if below_root = [] then []
+       else
+         [
+           map (fun p -> Update.Delete_subtree p) (oneofl below_root);
+           ( oneofl below_root >>= fun p ->
+             node >|= fun t -> Update.Replace_subtree (p, t) );
+         ])
+    @
+    if texts = [] then []
+    else
+      [ (oneofl texts >>= fun p -> text >|= fun s -> Update.Set_text (p, s)) ]
+  in
+  oneof ops >|= fun op -> (tree, op)
+
+let print_case (tree, op) =
+  let path p = String.concat "." (List.map string_of_int p) in
+  Testkit.tree_print tree ^ " / "
+  ^
+  match op with
+  | Update.Insert_child (p, i, t) ->
+      Printf.sprintf "insert %s@%d %s" (path p) i (Testkit.tree_print t)
+  | Update.Delete_subtree p -> "delete " ^ path p
+  | Update.Replace_subtree (p, t) ->
+      Printf.sprintf "replace %s %s" (path p) (Testkit.tree_print t)
+  | Update.Set_text (p, s) ->
+      Printf.sprintf "set-text %s (%d bytes)" (path p) (String.length s)
+
+(* Same bytes and same cost as the full re-encode, on every binary layout,
+   with chunks small enough that costs span several. *)
+let splice_agrees layout tree op =
+  let chunk_size = 16 in
+  let encoded = Encoder.encode ~layout tree in
+  match Update.update_encoded_reference ~chunk_size ~layout encoded op with
+  | exception Invalid_argument msg -> (
+      match Update.update_encoded ~chunk_size ~layout encoded op with
+      | exception Invalid_argument msg' -> msg = msg'
+      | _ -> false)
+  | expected, expected_cost ->
+      let got, cost = Update.update_encoded ~chunk_size ~layout encoded op in
+      String.equal got expected && cost = expected_cost
+      && cost
+         = naive_cost ~chunk_size
+             ~dictionary_changed:expected_cost.Update.dictionary_changed encoded
+             got
+
+let prop_splice_equals_reencode =
+  qtest ~count:500
+    "splice ≡ full re-encode (bytes and cost, TC/TCS/TCSB/TCSBR)"
+    gen_splice_case ~print:print_case (fun (tree, op) ->
+      List.for_all (fun layout -> splice_agrees layout tree op) binary_layouts)
+
+(* A deep text whose new length pushes its ancestors' sizes across powers
+   of two, up and down: under TCSBR every rebuilt ancestor's other
+   children get new headers. *)
+let prop_splice_size_crossings =
+  let gen =
+    QCheck2.Gen.(pair (int_range 0 700) (int_range 0 700))
+  in
+  qtest ~count:200 "splice across power-of-two sizes" gen
+    ~print:(fun (a, b) -> Printf.sprintf "%d -> %d" a b)
+    (fun (before, after) ->
+      let tree =
+        Tree.parse
+          (Printf.sprintf
+             "<r><a><b><c>%s</c><d>x</d></b><e>y</e></a><f>z</f></r>"
+             (String.make before 't'))
+      in
+      let op = Update.Set_text ([ 0; 0; 0; 0 ], String.make after 'u') in
+      List.for_all (fun layout -> splice_agrees layout tree op) binary_layouts)
+
+(* The splice reads part of its input with its own header walker: on
+   corrupted bytes it must fail typed (or as a path error, when the
+   corruption changed the document's shape), never with a stray exception. *)
+let prop_splice_hostile_input =
+  let gen =
+    QCheck2.Gen.(
+      quad Testkit.gen_tree
+        (oneofl [ Layout.Tcs; Layout.Tcsb; Layout.Tcsbr ])
+        (list_size (int_range 1 3) (pair nat (int_range 0 255)))
+        (oneofl
+           [
+             Update.Insert_child ([], 0, Tree.parse "<a>x</a>");
+             Update.Delete_subtree [ 0 ];
+             Update.Set_text ([ 0; 0 ], "zz");
+             Update.Replace_subtree ([ 0 ], Tree.parse "<b>y</b>");
+             Update.Insert_child ([ 0 ], 0, Tree.Text "t");
+           ]))
+  in
+  qtest ~count:500 "splice fails typed on corrupted encodings" gen
+    (fun (tree, layout, flips, op) ->
+      let enc = Bytes.of_string (Encoder.encode ~layout tree) in
+      List.iter
+        (fun (i, v) -> Bytes.set enc (i mod Bytes.length enc) (Char.chr v))
+        flips;
+      match Update.update_encoded ~layout (Bytes.to_string enc) op with
+      | _ -> true
+      | exception Error.Error _ -> true
+      | exception Invalid_argument m ->
+          String.length m >= 7 && String.sub m 0 7 = "Update:")
+
+let test_splice_crosses_both_ways () =
+  let doc len =
+    Tree.parse
+      (Printf.sprintf "<r><a><b>%s</b><c>k</c></a><d>tail</d></r>"
+         (String.make len 'x'))
+  in
+  List.iter
+    (fun (before, after) ->
+      let encoded = Encoder.encode ~layout:Layout.Tcsbr (doc before) in
+      let op = Update.Set_text ([ 0; 0; 0 ], String.make after 'y') in
+      let spliced = Update.splice ~layout:Layout.Tcsbr encoded op in
+      check bool_t
+        (Printf.sprintf "%d -> %d spliced, not re-encoded" before after)
+        true (spliced <> None);
+      check Alcotest.string
+        (Printf.sprintf "%d -> %d equals the full encoder" before after)
+        (fst (Update.update_encoded_reference ~layout:Layout.Tcsbr encoded op))
+        (Option.get spliced))
+    [ (200, 300); (300, 200); (100, 140); (140, 100); (250, 260); (260, 250) ]
+
+let test_splice_dictionary_fallback () =
+  (* the padding keeps the body well inside one power of two, so the
+     document-wide width of TCS/TCSB does not move *)
+  let tree =
+    Tree.parse
+      (Printf.sprintf "<r><a>x</a><b>y</b><a>z</a><p>%s</p></r>"
+         (String.make 90 '.'))
+  in
+  List.iter
+    (fun layout ->
+      let encoded = Encoder.encode ~layout tree in
+      let case name op ~spliced ~changed =
+        check bool_t (name ^ " takes the splice") spliced
+          (Update.splice ~layout encoded op <> None);
+        let got, cost = Update.update_encoded ~layout encoded op in
+        let expected, _ = Update.update_encoded_reference ~layout encoded op in
+        check Alcotest.string (name ^ " bytes") expected got;
+        check bool_t (name ^ " dictionary flag") changed
+          cost.Update.dictionary_changed
+      in
+      let tag = Layout.to_string layout in
+      case (tag ^ ": new tag")
+        (Update.Insert_child ([], 1, Tree.parse "<q>n</q>"))
+        ~spliced:false ~changed:true;
+      case (tag ^ ": last b removed") (Update.Delete_subtree [ 1 ])
+        ~spliced:false ~changed:true;
+      case (tag ^ ": one of two a removed") (Update.Delete_subtree [ 0 ])
+        ~spliced:true ~changed:false;
+      case (tag ^ ": b replaced by an a")
+        (Update.Replace_subtree ([ 1 ], Tree.parse "<a>w</a>"))
+        ~spliced:false ~changed:true;
+      case (tag ^ ": known tag inserted")
+        (Update.Insert_child ([ 1 ], 0, Tree.parse "<a>v</a>"))
+        ~spliced:true ~changed:false)
+    [ Layout.Tcs; Layout.Tcsb; Layout.Tcsbr ]
+
+let test_splice_rejects_like_apply () =
+  let tree = Tree.parse "<a><b>x</b><c><d>y</d></c></a>" in
+  List.iter
+    (fun layout ->
+      let encoded = Encoder.encode ~layout tree in
+      let message f =
+        match f () with
+        | _ -> "accepted"
+        | exception Invalid_argument m -> m
+      in
+      List.iter
+        (fun (name, op) ->
+          check Alcotest.string
+            (Layout.to_string layout ^ ": " ^ name)
+            (message (fun () -> Update.apply_to_tree tree op))
+            (message (fun () -> Update.update_encoded ~layout encoded op)))
+        [
+          ("dangling path", Update.Delete_subtree [ 5 ]);
+          ( "dangling deep path",
+            Update.Replace_subtree ([ 1; 3 ], Tree.parse "<z/>") );
+          ("root delete", Update.Delete_subtree []);
+          ("Set_text on an element", Update.Set_text ([ 1 ], "t"));
+          ("Set_text on the root", Update.Set_text ([], "t"));
+          ("path through a text", Update.Delete_subtree [ 0; 0; 0 ]);
+          ( "insert under a text",
+            Update.Insert_child ([ 0; 0 ], 0, Tree.parse "<q/>") );
+          ("bad insert index", Update.Insert_child ([], 9, Tree.parse "<q/>"));
+          ("text root", Update.Replace_subtree ([], Tree.Text "t"));
+        ])
+    binary_layouts
+
 (* Stats ------------------------------------------------------------------ *)
 
 let test_stats_ordering () =
@@ -693,6 +966,15 @@ let () =
           prop_update_encoded_correct Layout.Tcs;
           prop_update_encoded_correct Layout.Tcsb;
           prop_update_encoded_correct Layout.Tcsbr;
+          prop_splice_equals_reencode;
+          prop_splice_size_crossings;
+          prop_splice_hostile_input;
+          Alcotest.test_case "splice across powers of two, both ways" `Quick
+            test_splice_crosses_both_ways;
+          Alcotest.test_case "dictionary changes fall back" `Quick
+            test_splice_dictionary_fallback;
+          Alcotest.test_case "splice rejects bad edits like apply_to_tree"
+            `Quick test_splice_rejects_like_apply;
         ] );
       ( "stats",
         [
