@@ -798,6 +798,14 @@ let apply_edit container ~key ~operation =
   match operation with
   | None -> (encoded, encoded, None)
   | Some op ->
+      (* the splice reads only the edit path and copies every other byte,
+         and a plain-ECB container has no digests to have caught damage:
+         decode the whole payload first, so a corrupt one fails typed
+         instead of being republished under a new generation *)
+      let dec = Xmlac_skip_index.Decoder.of_string encoded in
+      while Xmlac_skip_index.Decoder.next dec <> None do
+        ()
+      done;
       let encoded', cost =
         Xmlac_skip_index.Update.update_encoded ~layout
           ~chunk_size:(Container.chunk_size container)

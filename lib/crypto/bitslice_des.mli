@@ -2,10 +2,10 @@
     machine-generated S-box circuits (see gen/). This is the fast engine's
     DES kernel — byte-for-byte equal to {!Des.Triple.decrypt_block} and
     {!Des.Triple.encrypt_block} applied blockwise, differential-tested in
-    the test suite, and reached through {!Modes.of_triple_des_fast}. A pass
-    does not depend on the direction: the schedule decides it, so the same
-    kernel decrypts on the SOE read side and encrypts on the publisher's
-    write side. *)
+    the test suite. A pass does not depend on the direction: the schedule
+    decides it, so the same kernel decrypts on the SOE read side (through
+    {!Modes.of_triple_des_fast}) and encrypts on the publisher's write side
+    (through {!Modes.of_triple_des_fast_encrypt}). *)
 
 val blocks_per_pass : int
 (** 63 — one block per usable native-int lane bit. *)

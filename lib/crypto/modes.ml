@@ -32,27 +32,21 @@ let of_triple_des k =
   }
 
 let of_triple_des_fast k =
-  let dec = Bitslice_des.decrypt_schedule k in
-  (* the read side builds a cipher per session and never encrypts, so the
-     encrypt schedule is built on first use; racing domains would build
-     equal schedules, so the race is benign *)
-  let enc = Atomic.make None in
-  let encrypt_blocks buf ~pos ~nblocks =
-    let sched =
-      match Atomic.get enc with
-      | Some s -> s
-      | None ->
-          let s = Bitslice_des.encrypt_schedule k in
-          Atomic.set enc (Some s);
-          s
-    in
-    Bitslice_des.crypt_blocks_in_place sched buf ~pos ~nblocks
-  in
+  let sched = Bitslice_des.decrypt_schedule k in
   {
     encrypt = Des.Triple.encrypt_block k;
     decrypt = Des.Triple.decrypt_block k;
-    decrypt_blocks = Some (Bitslice_des.crypt_blocks dec);
-    encrypt_blocks = Some encrypt_blocks;
+    decrypt_blocks = Some (Bitslice_des.crypt_blocks sched);
+    encrypt_blocks = None;
+  }
+
+let of_triple_des_fast_encrypt k =
+  let sched = Bitslice_des.encrypt_schedule k in
+  {
+    encrypt = Des.Triple.encrypt_block k;
+    decrypt = Des.Triple.decrypt_block k;
+    decrypt_blocks = None;
+    encrypt_blocks = Some (Bitslice_des.crypt_blocks_in_place sched);
   }
 
 (* Below this many blocks the bitsliced kernel's fixed per-pass cost (the

@@ -33,11 +33,16 @@ val of_triple_des : Des.Triple.key -> cipher
 
 val of_triple_des_fast : Des.Triple.key -> cipher
 (** Same cipher as {!of_triple_des} plus the bitsliced batch kernel
-    ({!Bitslice_des}), with a decrypt and an encrypt schedule, for long
-    runs of positional-ECB and CBC decryption and of positional-ECB
-    encryption; short runs, and CBC encryption (whose chaining is
-    serial), stay on the scalar path. Byte-for-byte interchangeable with
+    ({!Bitslice_des}) for long decrypt runs; short runs and encryption
+    stay on the scalar path. Byte-for-byte interchangeable with
     {!of_triple_des} — the differential suite pins this. *)
+
+val of_triple_des_fast_encrypt : Des.Triple.key -> cipher
+(** The publisher's cipher: {!of_triple_des} plus the same kernel under an
+    EDE-encrypt schedule, for long runs of {!positional_encrypt_in_place};
+    short runs, CBC encryption (whose chaining is serial) and every
+    decryption stay on the scalar path. Byte-for-byte interchangeable with
+    {!of_triple_des}. *)
 
 val batch_threshold : int
 (** Minimum run length (in blocks) at which the [_into] decryptors and

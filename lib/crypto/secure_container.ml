@@ -333,8 +333,8 @@ let seal_run t ~key ~cipher ~payload ~first ~last =
     done
   end
 
-let encrypt ?(engine = Engine.Fast) ?(chunk_size = 2048) ?(fragment_size = 256)
-    ?(generation = 0) ?(key_epoch = 0) ~scheme ~key payload =
+let encrypt ?(chunk_size = 2048) ?(fragment_size = 256) ?(generation = 0)
+    ?(key_epoch = 0) ~scheme ~key payload =
   if chunk_size mod 8 <> 0 || fragment_size mod 8 <> 0 then
     invalid_arg "Secure_container.encrypt: sizes must be multiples of 8";
   if chunk_size mod fragment_size <> 0
@@ -359,7 +359,7 @@ let encrypt ?(engine = Engine.Fast) ?(chunk_size = 2048) ?(fragment_size = 256)
       roots = Array.make nchunks "";
     }
   in
-  let cipher = Engine.cipher engine key in
+  let cipher = Modes.of_triple_des_fast_encrypt key in
   encrypt_run t ~key ~cipher ~payload ~first:0 ~last:(nchunks - 1);
   for i = 0 to nchunks - 1 do
     t.roots.(i) <- clear_root t ~chunk:i ~cipher:t.chunks.(i)
@@ -395,7 +395,7 @@ let chunk_differs ~chunk_size a b i =
    chunks are {e resealed} — their ciphertext, and for ECB-MHT their cached
    subtree hashes, are reused — which is hashing work only, never payload
    re-encryption. *)
-let reencrypt ?(engine = Engine.Fast) t ~key ~old_payload ~payload =
+let reencrypt t ~key ~old_payload ~payload =
   if String.length old_payload <> t.payload_len then
     invalid_arg "Secure_container.reencrypt: old payload length mismatch";
   if Array.exists (fun c -> c = "") t.chunks then
@@ -424,7 +424,7 @@ let reencrypt ?(engine = Engine.Fast) t ~key ~old_payload ~payload =
       roots = Array.make nchunks "";
     }
   in
-  let cipher = Engine.cipher engine key in
+  let cipher = Modes.of_triple_des_fast_encrypt key in
   iter_runs dirty (fun first last ->
       encrypt_run t' ~key ~cipher ~payload ~first ~last);
   let rewritten = ref [] in

@@ -72,7 +72,6 @@ val digest_bytes : t -> int
 (** Total size of the (encrypted) chunk digests. *)
 
 val encrypt :
-  ?engine:Engine.t ->
   ?chunk_size:int ->
   ?fragment_size:int ->
   ?generation:int ->
@@ -87,15 +86,13 @@ val encrypt :
     publication); a key rotation republishes with both bumped.
 
     Positional-ECB payloads (ECB, ECB-MHT) are encrypted run by run in the
-    position space, so consecutive chunks share full 63-block passes of
-    the bitsliced kernel; the digest blobs of a run are encrypted
-    together in the same way. [engine] (default [Fast]) only picks the 3DES
-    implementation: [Reference] runs the scalar cipher, which gives the
-    same bytes and serves as the tests' reference. CBC stays scalar under
-    both (its chaining is serial), and AES-CTR ignores [engine]. *)
+    position space through the bitsliced kernel
+    ({!Modes.of_triple_des_fast_encrypt}), so consecutive chunks share
+    full 63-block passes; the digest blobs of a run are encrypted together
+    in the same way. The bytes equal those of the scalar cipher. CBC stays
+    scalar (its chaining is serial), and AES-CTR needs no DES. *)
 
 val reencrypt :
-  ?engine:Engine.t ->
   t ->
   key:Des.Triple.key ->
   old_payload:string ->
@@ -113,7 +110,7 @@ val reencrypt :
     chunks are resealed (digest-only rewrite) because every digest binds
     the header geometry. Dirty chunks are found in one pass over both
     payloads, and runs of consecutive dirty chunks are encrypted as in
-    {!encrypt}, with the same [engine]. @raise Invalid_argument if
+    {!encrypt}. @raise Invalid_argument if
     [old_payload] does not match [payload_length t], or on a
     ciphertext-less geometry view. *)
 

@@ -41,24 +41,39 @@ let stats_metrics (s : stats) : Xmlac_obs.Metrics.t =
 
 type frame = {
   tag : string;
+  tag_index : int;  (* -1 for the body and for read_range's sentinel *)
   set : int array;  (* DescTag of this element; [||] for leaves / no bitmap *)
   has_set : bool;  (* false when the layout records no bitmaps *)
   size : int;  (* content size in bytes; -1 when unknown (TC layout) *)
   content_start : int;
-  end_pos : int;  (* content_start + size; -1 when unknown *)
 }
+
+(* content_start + size; -1 when unknown *)
+let end_pos f = if f.size < 0 then -1 else f.content_start + f.size
 
 type t = {
   source : source;
   reader : Bitio.Reader.t;
   hdr : Encoder.header;
   dict : Dict.t;
-  full_set : int array;
+  body : frame;
+      (* the root's parent context: every tag (the TCSB bitmap reference)
+         and the body's extent *)
   stats : stats;
   mutable stack : frame list;
   mutable after_start : bool;  (* the last event was a Start *)
   mutable finished : bool;
 }
+
+let body_frame (hdr : Encoder.header) ~full_set =
+  {
+    tag = "";
+    tag_index = -1;
+    set = full_set;
+    has_set = true;
+    size = hdr.Encoder.body_size;
+    content_start = hdr.Encoder.body_start;
+  }
 
 let reader_of_source source =
   Bitio.Reader.create ~read:source.read ~length:source.length
@@ -77,7 +92,7 @@ let of_source source =
         reader;
         hdr;
         dict;
-        full_set = Array.init (Dict.size dict) Fun.id;
+        body = body_frame hdr ~full_set:(Array.init (Dict.size dict) Fun.id);
         stats = fresh_stats ();
         stack = [];
         after_start = false;
@@ -95,56 +110,39 @@ let stats t = t.stats
 let position t = Bitio.Reader.position t.reader
 let can_skip t = Layout.has_sizes (layout t)
 
-(* Decoding context for children of the current innermost element. *)
-let parent_context t =
-  match t.stack with
-  | [] -> (t.full_set, true, t.hdr.Encoder.body_size)
-  | f :: _ -> (f.set, f.has_set, f.size)
-
-(* Absolute end of the region a child encoding may occupy; -1 when the
-   layout records no sizes (TC). *)
-let parent_limit t =
-  match t.stack with
-  | [] -> t.hdr.Encoder.body_start + t.hdr.Encoder.body_size
-  | f :: _ -> f.end_pos
-
-let read_bitmap t reference =
+let read_bitmap r reference =
   let selected = ref [] in
   Array.iter
     (fun tag_idx ->
-      if Bitio.Reader.bits t.reader ~width:1 = 1 then
-        selected := tag_idx :: !selected)
+      if Bitio.Reader.bits r ~width:1 = 1 then selected := tag_idx :: !selected)
     reference;
   Array.of_list (List.rev !selected)
 
-(* [of_source] refuses NC inputs, so [layout t] is never NC below; the
+(* [of_source] refuses NC inputs, so the layout is never NC below; the
    remaining [assert false] arms on NC are internal invariants, not
    reachable from input bytes. All field values, however, COME from input
    bytes: tag and size fields are range-checked here because their bit
    widths usually allow values beyond the valid range (e.g. a 3-entry
    dictionary is indexed by 2 bits that can also encode 3). *)
-let read_element t kind =
-  let parent_set, parent_has_set, parent_size = parent_context t in
-  let lay = layout t in
-  let dict_size = Dict.size t.dict in
+let read_element_header r (hdr : Encoder.header) dict ~full_set ~parent
+    ~kind =
+  let lay = hdr.Encoder.layout in
+  let dict_size = Dict.size dict in
   let tag_idx =
     match lay with
     | Layout.Tcsbr ->
-        if not parent_has_set then
-          Error.corrupt "missing parent tag set";
-        if Array.length parent_set = 0 then
+        if not parent.has_set then Error.corrupt "missing parent tag set";
+        if Array.length parent.set = 0 then
           Error.corrupt "element inside content declared leaf-only";
-        let w = Bitio.bits_for_index (Array.length parent_set) in
-        let i = Bitio.Reader.bits t.reader ~width:w in
-        if i >= Array.length parent_set then
+        let w = Bitio.bits_for_index (Array.length parent.set) in
+        let i = Bitio.Reader.bits r ~width:w in
+        if i >= Array.length parent.set then
           Error.corrupt "tag code %d outside parent set of %d" i
-            (Array.length parent_set);
-        parent_set.(i)
+            (Array.length parent.set);
+        parent.set.(i)
     | _ ->
         if dict_size = 0 then Error.corrupt "element with an empty dictionary";
-        let i =
-          Bitio.Reader.bits t.reader ~width:(Bitio.bits_for_index dict_size)
-        in
+        let i = Bitio.Reader.bits r ~width:(Bitio.bits_for_index dict_size) in
         if i >= dict_size then
           Error.corrupt "tag index %d outside dictionary of %d" i dict_size;
         i
@@ -153,11 +151,11 @@ let read_element t kind =
     match lay with
     | Layout.Tc -> -1
     | Layout.Tcs | Layout.Tcsb ->
-        Bitio.Reader.bits t.reader
-          ~width:(Bitio.bits_for_value t.hdr.Encoder.body_size)
+        Bitio.Reader.bits r
+          ~width:(Bitio.bits_for_value hdr.Encoder.body_size)
     | Layout.Tcsbr ->
-        if parent_size < 0 then Error.corrupt "missing parent size";
-        Bitio.Reader.bits t.reader ~width:(Bitio.bits_for_value parent_size)
+        if parent.size < 0 then Error.corrupt "missing parent size";
+        Bitio.Reader.bits r ~width:(Bitio.bits_for_value parent.size)
     | Layout.Nc -> assert false
   in
   let set, has_set =
@@ -166,35 +164,39 @@ let read_element t kind =
     if kind = Wire.kind_leaf then ([||], true)
     else
       match lay with
-      | Layout.Tcsbr -> (read_bitmap t parent_set, true)
-      | Layout.Tcsb -> (read_bitmap t t.full_set, true)
+      | Layout.Tcsbr -> (read_bitmap r parent.set, true)
+      | Layout.Tcsb -> (read_bitmap r full_set, true)
       | Layout.Tc | Layout.Tcs -> ([||], false)
       | Layout.Nc -> assert false
   in
-  Bitio.Reader.align t.reader;
-  let content_start = Bitio.Reader.position t.reader in
+  Bitio.Reader.align r;
+  let content_start = Bitio.Reader.position r in
   (* a subtree must lie inside its parent's content (or the body, at the
      root): anything else would let hostile sizes aim [skip]/[seek] outside
      the valid region *)
   (if size >= 0 then
-     let limit = parent_limit t in
+     let limit = end_pos parent in
      if limit >= 0 && content_start + size > limit then
        Error.corrupt "subtree size %d overruns its parent (at byte %d)" size
          content_start);
-  let tag = Dict.tag t.dict tag_idx in
+  {
+    tag = Dict.tag dict tag_idx;
+    tag_index = tag_idx;
+    set;
+    has_set;
+    size;
+    content_start;
+  }
+
+let read_element t kind =
+  let parent = match t.stack with [] -> t.body | f :: _ -> f in
   let frame =
-    {
-      tag;
-      set;
-      has_set;
-      size;
-      content_start;
-      end_pos = (if size < 0 then -1 else content_start + size);
-    }
+    read_element_header t.reader t.hdr t.dict ~full_set:t.body.set ~parent
+      ~kind
   in
   t.stack <- frame :: t.stack;
   t.after_start <- true;
-  Event.Start { tag; attributes = [] }
+  Event.Start { tag = frame.tag; attributes = [] }
 
 let rec next t : Event.t option =
   let e = next_raw t in
@@ -215,7 +217,8 @@ and next_raw t : Event.t option =
     in
     (* implicit close: reached the end of the innermost element's content *)
     match t.stack with
-    | f :: _ when f.end_pos >= 0 && position t >= f.end_pos -> pop ()
+    | f :: _ when f.size >= 0 && position t >= f.content_start + f.size ->
+        pop ()
     | _ ->
         if Bitio.Reader.at_end t.reader then
           if t.stack = [] then None
@@ -265,36 +268,25 @@ let descendant_tag_set t =
 
 let skip t =
   let f = top_frame_after_start t in
-  if f.end_pos < 0 then
-    invalid_arg "Skip_index.Decoder: this layout cannot skip";
+  if f.size < 0 then invalid_arg "Skip_index.Decoder: this layout cannot skip";
+  let stop = end_pos f in
   t.stats.subtree_skips <- t.stats.subtree_skips + 1;
   t.stats.bytes_skipped <-
-    t.stats.bytes_skipped + (f.end_pos - Bitio.Reader.position t.reader);
-  Bitio.Reader.seek t.reader f.end_pos;
+    t.stats.bytes_skipped + (stop - Bitio.Reader.position t.reader);
+  Bitio.Reader.seek t.reader stop;
   t.after_start <- false
 
-type subtree_handle = {
-  h_tag : string;
-  h_set : int array;
-  h_has_set : bool;
-  h_size : int;
-  h_content_start : int;
-}
+(* the element's own frame: its content range and decoding context *)
+type subtree_handle = frame
 
 let subtree_handle t =
   let f = top_frame_after_start t in
-  if f.end_pos < 0 then
+  if f.size < 0 then
     invalid_arg "Skip_index.Decoder: this layout records no subtree sizes";
-  {
-    h_tag = f.tag;
-    h_set = f.set;
-    h_has_set = f.has_set;
-    h_size = f.size;
-    h_content_start = f.content_start;
-  }
+  f
 
-let handle_tag h = h.h_tag
-let handle_size h = h.h_size
+let handle_tag h = h.tag
+let handle_size h = h.size
 
 type range_handle = {
   r_set : int array;
@@ -308,7 +300,7 @@ let rest_handle t =
   match t.stack with
   | [] -> None
   | f :: _ ->
-      if f.end_pos < 0 then None
+      if f.size < 0 then None
       else
         Some
           {
@@ -316,19 +308,20 @@ let rest_handle t =
             r_has_set = f.has_set;
             r_parent_size = f.size;
             r_start = Bitio.Reader.position t.reader;
-            r_end = f.end_pos;
+            r_end = end_pos f;
           }
 
 let skip_rest t =
   match t.stack with
   | [] -> invalid_arg "Skip_index.Decoder.skip_rest: no open element"
   | f :: _ ->
-      if f.end_pos < 0 then
+      if f.size < 0 then
         invalid_arg "Skip_index.Decoder.skip_rest: this layout cannot skip";
+      let stop = end_pos f in
       t.stats.rest_skips <- t.stats.rest_skips + 1;
       t.stats.bytes_skipped <-
-        t.stats.bytes_skipped + (f.end_pos - Bitio.Reader.position t.reader);
-      Bitio.Reader.seek t.reader f.end_pos;
+        t.stats.bytes_skipped + (stop - Bitio.Reader.position t.reader);
+      Bitio.Reader.seek t.reader stop;
       t.after_start <- false
 
 let range_size h = h.r_end - h.r_start
@@ -355,38 +348,23 @@ let slab_source t ~start ~stop =
 
 let read_subtree t h =
   t.stats.readback_subtrees <- t.stats.readback_subtrees + 1;
-  t.stats.readback_bytes <- t.stats.readback_bytes + h.h_size;
+  t.stats.readback_bytes <- t.stats.readback_bytes + h.size;
   let sub =
     {
-      source = t.source;
+      t with
       reader =
         reader_of_source
-          (slab_source t ~start:h.h_content_start
-             ~stop:(h.h_content_start + h.h_size));
-      hdr = t.hdr;
-      dict = t.dict;
-      full_set = t.full_set;
-      stats = t.stats;
-      stack =
-        [
-          {
-            tag = h.h_tag;
-            set = h.h_set;
-            has_set = h.h_has_set;
-            size = h.h_size;
-            content_start = h.h_content_start;
-            end_pos = h.h_content_start + h.h_size;
-          };
-        ];
+          (slab_source t ~start:h.content_start ~stop:(end_pos h));
+      stack = [ h ];
       after_start = true;
       finished = false;
     }
   in
-  Bitio.Reader.seek sub.reader h.h_content_start;
+  Bitio.Reader.seek sub.reader h.content_start;
   let rec drain acc =
     match next sub with None -> List.rev acc | Some e -> drain (e :: acc)
   in
-  Event.Start { tag = h.h_tag; attributes = [] } :: drain []
+  Event.Start { tag = h.tag; attributes = [] } :: drain []
 
 let events_result s =
   Error.guard (fun () ->
@@ -399,25 +377,23 @@ let events_result s =
 let read_range t h =
   t.stats.readback_subtrees <- t.stats.readback_subtrees + 1;
   t.stats.readback_bytes <- t.stats.readback_bytes + range_size h;
-  (* a synthetic frame bounds the range; its closing event is dropped *)
+  (* a synthetic frame bounds the range; its closing event is dropped. Its
+     size is the parent's, which sets the children's field widths, so its
+     content start is placed for the frame to end at the range's end. *)
   let sentinel = "#range" in
   let sub =
     {
-      source = t.source;
+      t with
       reader = reader_of_source (slab_source t ~start:h.r_start ~stop:h.r_end);
-      hdr = t.hdr;
-      dict = t.dict;
-      full_set = t.full_set;
-      stats = t.stats;
       stack =
         [
           {
             tag = sentinel;
+            tag_index = -1;
             set = h.r_set;
             has_set = h.r_has_set;
             size = h.r_parent_size;
-            content_start = h.r_start;
-            end_pos = h.r_end;
+            content_start = h.r_end - h.r_parent_size;
           };
         ];
       after_start = false;

@@ -120,3 +120,40 @@ val skip_rest : t -> unit
 
 val read_range : t -> range_handle -> Xmlac_xml.Event.t list
 (** Decode the nodes of a captured range (no enclosing element events). *)
+
+(** {2 Element headers}
+
+    The header rules on their own, for readers that walk an encoding
+    without a decoder ({!Update}'s splice): the writing side is
+    {!Encoder.write_header}. *)
+
+type frame = {
+  tag : string;
+  tag_index : int;  (** in the dictionary; -1 for {!body_frame} *)
+  set : int array;
+      (** descendant tags, sorted; [[||]] for a leaf, and when the layout
+          records no bitmaps *)
+  has_set : bool;  (** false when the layout records no bitmaps *)
+  size : int;  (** content size in bytes; -1 when unknown (TC) *)
+  content_start : int;
+}
+(** An element's header fields and where its content starts. *)
+
+val body_frame : Encoder.header -> full_set:int array -> frame
+(** The root's parent: every tag ([full_set], the dictionary indexes in
+    order) and the body's extent. *)
+
+val read_element_header :
+  Bitio.Reader.t ->
+  Encoder.header ->
+  Dict.t ->
+  full_set:int array ->
+  parent:frame ->
+  kind:int ->
+  frame
+(** Read the header of an element whose 2-bit kind has just been read,
+    inside [parent], and align to its content: the tag (from the parent's
+    set under TCSBR, the dictionary otherwise), the size (at the parent's
+    width under TCSBR, the document-wide width under TCS/TCSB) and the
+    bitmap. @raise Error.Error ([Corrupt]) on an empty dictionary or set,
+    an out-of-range tag, or a size overrunning the parent. *)

@@ -41,7 +41,8 @@ val read_header : Bitio.Reader.t -> header
 
     The splice re-encodes only an edited subtree and the headers around it.
     These expose the encoder's own field-width, size and bitmap rules so
-    that the spliced bytes are the ones {!encode} would write. *)
+    that the spliced bytes are the ones {!encode} would write; the splice
+    reads headers with {!Decoder.read_element_header}. *)
 
 val header_length :
   Layout.t ->

@@ -220,14 +220,17 @@ type child =
 type walk = {
   enc : string;
   r : Bitio.Reader.t;
+  hdr : Encoder.header;
+  dict : Dict.t;
+  full_set : int array;
   layout : Layout.t;
   dict_size : int;
   width : int;  (* the document-wide size width of TCS/TCSB *)
 }
 
-(* Read the node at [pos] inside an element whose descendant tags and
-   content size are [pset] and [psize], with the decoder's field rules. *)
-let read_child w ~pset ~psize pos =
+(* Read the node at [pos] inside [parent]; element headers go through the
+   decoder's own reader, with its range and overrun checks. *)
+let read_child w ~parent pos =
   let r = w.r in
   Bitio.Reader.seek r pos;
   let kind = Bitio.Reader.bits r ~width:2 in
@@ -239,68 +242,44 @@ let read_child w ~pset ~psize pos =
   end
   else if kind = Wire.kind_close then
     Error.corrupt "close marker in a sized layout"
-  else begin
-    let intermediate = kind = Wire.kind_intermediate in
-    let tag =
-      match w.layout with
-      | Layout.Tcsbr ->
-          let n = Array.length pset in
-          if n = 0 then
-            Error.corrupt "element inside content declared leaf-only";
-          let i = Bitio.Reader.bits r ~width:(Bitio.bits_for_index n) in
-          if i >= n then
-            Error.corrupt "tag code %d outside parent set of %d" i n;
-          pset.(i)
-      | _ ->
-          if w.dict_size = 0 then
-            Error.corrupt "element with an empty dictionary";
-          let width = Bitio.bits_for_index w.dict_size in
-          let i = Bitio.Reader.bits r ~width in
-          if i >= w.dict_size then
-            Error.corrupt "tag index %d outside dictionary" i;
-          i
+  else
+    let f =
+      Decoder.read_element_header r w.hdr w.dict ~full_set:w.full_set ~parent
+        ~kind
     in
-    let size =
-      Bitio.Reader.bits r
-        ~width:
-          (match w.layout with
-          | Layout.Tcsbr -> Bitio.bits_for_value psize
-          | _ -> w.width)
-    in
-    let bitmap reference =
-      let selected = ref [] in
-      Array.iter
-        (fun t ->
-          if Bitio.Reader.bits r ~width:1 = 1 then selected := t :: !selected)
-        reference;
-      Array.of_list (List.rev !selected)
-    in
-    let set =
-      if not intermediate then [||]
-      else
-        match w.layout with
-        | Layout.Tcsbr -> bitmap pset
-        | Layout.Tcsb -> bitmap (Array.init w.dict_size Fun.id)
-        | _ -> [||]
-    in
-    Bitio.Reader.align r;
-    let content = Bitio.Reader.position r in
-    if content + size > String.length w.enc then
-      Error.corrupt "subtree overruns the body";
-    Elem { tag; set; intermediate; size; src = w.enc; start = pos; content }
-  end
+    Elem
+      {
+        tag = f.Decoder.tag_index;
+        set = f.Decoder.set;
+        intermediate = kind = Wire.kind_intermediate;
+        size = f.Decoder.size;
+        src = w.enc;
+        start = pos;
+        content = f.Decoder.content_start;
+      }
 
 (* The children of an old element, found by skipping from header to
    header. *)
 let children w e =
   let stop = e.content + e.size in
+  (* [has_set] matters only under TCSBR, where every element has a set *)
+  let parent =
+    {
+      Decoder.tag = "";
+      tag_index = e.tag;
+      set = e.set;
+      has_set = true;
+      size = e.size;
+      content_start = e.content;
+    }
+  in
   let rec go pos acc =
     if pos >= stop then begin
       if pos > stop then Error.corrupt "child overruns its parent";
       Array.of_list (List.rev acc)
     end
     else
-      let c = read_child w ~pset:e.set ~psize:e.size pos in
+      let c = read_child w ~parent pos in
       let next =
         match c with
         | Elem c -> c.content + c.size
@@ -435,7 +414,7 @@ let splice_exn ~layout encoded operation =
   let full_set = Array.init dict_size Fun.id in
   let body_size = hdr.Encoder.body_size in
   let width = Bitio.bits_for_value body_size in
-  let w = { enc = encoded; r; layout; dict_size; width } in
+  let w = { enc = encoded; r; hdr; dict; full_set; layout; dict_size; width } in
   (* the operation as (parent path, position, children removed, node
      inserted), with apply_to_tree's argument checks *)
   let parent_path, last =
@@ -456,7 +435,9 @@ let splice_exn ~layout encoded operation =
   in
   let root =
     match
-      read_child w ~pset:full_set ~psize:body_size hdr.Encoder.body_start
+      read_child w
+        ~parent:(Decoder.body_frame hdr ~full_set)
+        hdr.Encoder.body_start
     with
     | Elem e -> e
     | _ -> Error.corrupt "the body does not start with an element"

@@ -7,7 +7,9 @@
     re-encodes everything. This module applies an update and {e measures}
     that propagation. For the layouts that record sizes (TCS, TCSB, TCSBR)
     the new encoding is {e spliced}: the old encoding is walked down the
-    edit path with the decoder's skips, only the new subtree is encoded,
+    edit path with the decoder's header reader
+    ({!Decoder.read_element_header}) and skips, only the new subtree is
+    encoded,
     and the path's headers are rebuilt — together with the children's
     headers of any ancestor whose size crosses a power of two or whose
     descendant-tag set changes, iterated to the encoder's least size

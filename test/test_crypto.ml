@@ -384,13 +384,13 @@ let test_bitslice_kernel_differential () =
 
 (* The encrypt schedule turns the same kernel into EDE encryption: raw ECB
    against the scalar cipher, then through the positional mode at a
-   non-zero base, below and above the batch threshold and across the
-   lane width. *)
+   non-zero base, below and above the batch threshold, across the lane
+   width, and over one container encryption segment (16 full passes). *)
 let test_bitslice_encrypt_differential () =
   let key = test_key () in
   let sched = Bitslice_des.encrypt_schedule key in
   let reference = Modes.of_triple_des key
-  and fast = Modes.of_triple_des_fast key in
+  and fast = Modes.of_triple_des_fast_encrypt key in
   List.iter
     (fun nblocks ->
       let plain =
@@ -413,10 +413,10 @@ let test_bitslice_encrypt_differential () =
             (Modes.positional_encrypt reference ~base plain)
             (Modes.positional_encrypt fast ~base plain))
         [ 0; 8; 4096 + 2048 ])
-    [ 1; 15; 16; 62; 63; 64; 126; 127 ]
+    [ 1; 15; 16; 62; 63; 64; 126; 127; 1008; 1009 ]
 
 let test_positional_encrypt_in_place_misuse () =
-  let c = Modes.of_triple_des_fast (test_key ()) in
+  let c = Modes.of_triple_des_fast_encrypt (test_key ()) in
   let rejected f = match f () with
     | () -> false
     | exception Invalid_argument _ -> true
@@ -745,28 +745,36 @@ let test_invalid_geometry_rejected () =
         (Secure_container.encrypt ~chunk_size:768 ~fragment_size:256
            ~scheme:Secure_container.Ecb_mht ~key "x"))
 
-(* Publisher-side encryption runs through the bitsliced kernel for the
-   positional schemes; the scalar engine is the reference, and the
-   serialized containers must be identical. Payload lengths straddle chunk
-   boundaries, and the edits dirty isolated chunks, runs of chunks, a
-   shifted tail, a shrink and an extension. *)
-let container_engines_agree scheme () =
+(* Container encryption runs positional-ECB chunk runs and digest blobs
+   through the bitsliced kernel. Positional ECB is a bijection on each
+   block, so a verified decryption with the scalar cipher pins the
+   ciphertext; the fixture test below pins the bytes against containers
+   built before the kernel encrypted. Payload lengths straddle chunk
+   boundaries and the encryption segment, and the edits dirty isolated
+   chunks, runs of chunks, a shifted tail, a shrink and an extension. *)
+let container_kernel_roundtrip scheme () =
   let key = test_key () in
-  let same name a b =
-    check string_t name
-      (Secure_container.to_bytes a)
-      (Secure_container.to_bytes b)
-  in
+  let verify = scheme <> Secure_container.Ecb in
   List.iter
     (fun len ->
       let p = payload len in
-      let build engine =
-        Secure_container.encrypt ~engine ~chunk_size:512 ~fragment_size:64
+      let t =
+        Secure_container.encrypt ~chunk_size:512 ~fragment_size:64
           ~generation:3 ~key_epoch:1 ~scheme ~key p
       in
-      let fast = build Engine.Fast and reference = build Engine.Reference in
-      same (Printf.sprintf "encrypt, %d bytes" len) fast reference;
-      let edits =
+      check string_t
+        (Printf.sprintf "encrypt, %d bytes" len)
+        p
+        (Secure_container.decrypt_all t ~key ~verify);
+      List.iter
+        (fun p' ->
+          let t', _ =
+            Secure_container.reencrypt t ~key ~old_payload:p ~payload:p'
+          in
+          check string_t
+            (Printf.sprintf "reencrypt, %d -> %d bytes" len (String.length p'))
+            p'
+            (Secure_container.decrypt_all t' ~key ~verify))
         [
           String.mapi (fun i c -> if i mod 1500 = 7 then 'Z' else c) p;
           String.sub p 0 (len / 3)
@@ -774,25 +782,26 @@ let container_engines_agree scheme () =
           ^ String.sub p (len / 3) (len - (len / 3));
           String.sub p 0 (len / 2);
           p ^ String.make 700 'q';
-        ]
-      in
-      List.iter
-        (fun p' ->
-          let f, fr =
-            Secure_container.reencrypt fast ~key ~old_payload:p ~payload:p'
-          in
-          let r, rr =
-            Secure_container.reencrypt ~engine:Engine.Reference reference ~key
-              ~old_payload:p ~payload:p'
-          in
-          check (Alcotest.list int_t) "same rewritten chunks" rr fr;
-          same
-            (Printf.sprintf "reencrypt, %d -> %d bytes" len (String.length p'))
-            f r;
-          check string_t "decrypts to the new payload" p'
-            (Secure_container.decrypt_all f ~key ~verify:true))
-        edits)
+        ])
     [ 1; 511; 512; 4000; 9000 ]
+
+(* Serialized containers (and rewritten-chunk lists) from encrypt,
+   reencrypt and the publisher, on every scheme, against digests recorded
+   when every container was encrypted with the scalar cipher. *)
+let test_containers_match_fixture () =
+  let expected =
+    In_channel.with_open_text "fixture/containers.expected"
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = Container_fixture.lines () in
+  check int_t "fixture cases" (List.length expected) (List.length actual);
+  List.iter2
+    (fun e a ->
+      let name = List.hd (String.split_on_char ':' e) in
+      check string_t name e a)
+    expected actual
 
 let scheme_suites =
   List.concat_map
@@ -801,8 +810,8 @@ let scheme_suites =
       [
         Alcotest.test_case (name ^ " roundtrip") `Quick (container_roundtrip scheme);
         Alcotest.test_case (name ^ " serialization") `Quick (container_serialization scheme);
-        Alcotest.test_case (name ^ " fast ≡ scalar encryption") `Quick
-          (container_engines_agree scheme);
+        Alcotest.test_case (name ^ " kernel encryption round trips") `Quick
+          (container_kernel_roundtrip scheme);
       ])
     Secure_container.all_schemes
   @ List.filter_map
@@ -946,6 +955,8 @@ let () =
             Alcotest.test_case "header validation" `Quick test_container_header_checks;
             Alcotest.test_case "fragment random access" `Quick test_fragment_random_access;
             Alcotest.test_case "geometry validation" `Quick test_invalid_geometry_rejected;
+            Alcotest.test_case "bytes ≡ scalar-cipher fixture" `Quick
+              test_containers_match_fixture;
           ] );
       ( "fuzz",
         [ prop_any_corruption_detected; prop_wrong_key_never_succeeds_quietly ] );
