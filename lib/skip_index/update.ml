@@ -414,7 +414,9 @@ let splice_exn ~layout encoded operation =
   let full_set = Array.init dict_size Fun.id in
   let body_size = hdr.Encoder.body_size in
   let width = Bitio.bits_for_value body_size in
-  let w = { enc = encoded; r; hdr; dict; full_set; layout; dict_size; width } in
+  let w =
+    { enc = encoded; r; hdr; dict; full_set; layout; dict_size; width }
+  in
   (* the operation as (parent path, position, children removed, node
      inserted), with apply_to_tree's argument checks *)
   let parent_path, last =

@@ -33,7 +33,9 @@ let edits p =
   [
     ("edit", String.mapi (fun i c -> if i mod 1500 = 7 then 'Z' else c) p);
     ( "insert",
-      String.sub p 0 (len / 3) ^ "inserted" ^ String.sub p (len / 3) (len - (len / 3)) );
+      String.sub p 0 (len / 3)
+      ^ "inserted"
+      ^ String.sub p (len / 3) (len - (len / 3)) );
     ("shrink", String.sub p 0 (len / 2));
     ("extend", p ^ String.make 700 'q');
   ]
@@ -69,7 +71,8 @@ let document =
       (20 + (i mod 50))
       (String.make (i mod 97) 'x')
   in
-  Tree.parse ("<Hospital>" ^ String.concat "" (List.init 120 folder) ^ "</Hospital>")
+  Tree.parse
+    ("<Hospital>" ^ String.concat "" (List.init 120 folder) ^ "</Hospital>")
 
 let publisher_lines scheme layout =
   let name =
@@ -90,9 +93,12 @@ let publisher_lines scheme layout =
         let _, rewritten = Publisher.update p ~payload in
         line (name ^ " update " ^ what) ~rewritten (Publisher.container p))
       [
-        ("insert", Update.Insert_child ([], 1, Tree.parse "<Folder><Age>33</Age></Folder>"));
+        ( "insert",
+          Update.Insert_child
+            ([], 1, Tree.parse "<Folder><Age>33</Age></Folder>") );
         ("set-text", Update.Set_text ([ 2; 0; 0; 0 ], "123456789"));
-        ("set-text-long", Update.Set_text ([ 40; 1; 0 ], String.make 300 'y'));
+        ( "set-text-long",
+          Update.Set_text ([ 40; 1; 0 ], String.make 300 'y') );
         ("delete", Update.Delete_subtree [ 1 ]);
       ]
   in
