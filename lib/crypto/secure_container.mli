@@ -110,9 +110,8 @@ val reencrypt :
     chunks are resealed (digest-only rewrite) because every digest binds
     the header geometry. Dirty chunks are found in one pass over both
     payloads, and runs of consecutive dirty chunks are encrypted as in
-    {!encrypt}. @raise Invalid_argument if
-    [old_payload] does not match [payload_length t], or on a
-    ciphertext-less geometry view. *)
+    {!encrypt}. @raise Invalid_argument if [old_payload] does not match
+    [payload_length t], or on a ciphertext-less geometry view. *)
 
 val to_bytes : t -> string
 (** Serialized container (header + chunks), as stored on the server /
