@@ -3,7 +3,7 @@
    kernels each experiment exercises.
 
    Usage:  dune exec bench/main.exe [-- --quick] [-- --no-bechamel]
-                                    [-- --json FILE] [-- --jobs N]
+                                    [-- --json FILE] [-- --trace FILE]
                                     [-- --experiment NAME]
 
    Simulated times use the Table 1 cost model (hardware smart-card context
@@ -31,6 +31,19 @@ module Channel = Xmlac_soe.Channel
 module W = Xmlac_workload
 module Metrics = Xmlac_obs.Metrics
 module Bench_report = Xmlac_obs.Bench_report
+
+(* any argument outside the usage line is an error, not silently ignored *)
+let () =
+  let rec check i =
+    if i < Array.length Sys.argv then
+      match Sys.argv.(i) with
+      | "--quick" | "--no-bechamel" -> check (i + 1)
+      | "--json" | "--trace" | "--experiment" -> check (i + 2)
+      | arg ->
+          Printf.eprintf "bench: unknown argument %S\n" arg;
+          exit 2
+  in
+  check 1
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv
@@ -75,26 +88,6 @@ let experiment_filter =
         prerr_endline "bench: --experiment needs a NAME argument";
         exit 2
       end
-    else find (i + 1)
-  in
-  find 1
-
-(* --jobs N runs every SOE evaluation with that many worker domains; the
-   report's deterministic counters are identical at any value (CI diffs
-   the wall-stripped reports of two job counts to prove it) *)
-let jobs =
-  let rec find i =
-    if i >= Array.length Sys.argv then 1
-    else if Sys.argv.(i) = "--jobs" then
-      match
-        if i + 1 < Array.length Sys.argv then
-          int_of_string_opt Sys.argv.(i + 1)
-        else None
-      with
-      | Some n when n >= 1 -> n
-      | _ ->
-          prerr_endline "bench: --jobs needs a positive integer";
-          exit 2
     else find (i + 1)
   in
   find 1
@@ -159,15 +152,6 @@ let hospital =
   lazy (List.assoc W.Datasets.Hospital_doc (Lazy.force documents))
 
 let config = Session.default_config ()
-
-(* every evaluation in the harness honours the global --jobs count *)
-let evaluate ?query ?verify ?strategy ?options config published policy =
-  Session.evaluate ?query ?verify ?strategy ?options ~jobs config published
-    policy
-
-let evaluate_remote ?query ?verify ?strategy ?options config session policy =
-  Session.evaluate_remote ?query ?verify ?strategy ?options ~jobs config
-    session policy
 
 let published_cache : (string, Session.published) Hashtbl.t = Hashtbl.create 8
 
@@ -295,8 +279,10 @@ let fig9 () =
     (fun { pr_name; pr_policy } ->
       let bf_pub = publish_cached "hospital" ~layout:Layout.Tc doc in
       let ix_pub = publish_cached "hospital" ~layout:Layout.Tcsbr doc in
-      let bf = evaluate ~verify:false ~strategy:"BF" config bf_pub pr_policy in
-      let ix = evaluate ~verify:false config ix_pub pr_policy in
+      let bf =
+        Session.evaluate ~verify:false ~strategy:"BF" config bf_pub pr_policy
+      in
+      let ix = Session.evaluate ~verify:false config ix_pub pr_policy in
       let authorized = Session.authorized_encoded_bytes pr_policy doc in
       let lwb = Session.lwb ~verify:false config ~authorized_bytes:authorized in
       let b = ix.Session.breakdown in
@@ -343,7 +329,9 @@ let fig10 () =
         (fun view ->
           let policy = W.Profiles.view_policy view in
           let query = W.Profiles.age_query ~threshold in
-          let m = evaluate ~verify:false ~query config published policy in
+          let m =
+            Session.evaluate ~verify:false ~query config published policy
+          in
           Printf.printf "  %8.1f %7.2f"
             (kb m.Session.result_bytes)
             m.Session.breakdown.Cost_model.total_s;
@@ -394,7 +382,7 @@ let fig11 () =
               else Session.publish config ~layout:Layout.Tcsbr doc
             in
             let m =
-              evaluate ~verify:(scheme <> Container.Ecb) config
+              Session.evaluate ~verify:(scheme <> Container.Ecb) config
                 published pr_policy
             in
             Printf.printf " %10.2f" m.Session.breakdown.Cost_model.total_s;
@@ -440,8 +428,10 @@ let fig12 () =
           (* the paper's throughput is the rate at which authorized data
              leaves the SOE: result bytes over total time. The LWB oracle
              reads only the authorized bytes of the *encoded* document. *)
-          let m_int = evaluate ~verify:true config published policy in
-          let m_noint = evaluate ~verify:false config published policy in
+          let m_int = Session.evaluate ~verify:true config published policy in
+          let m_noint =
+            Session.evaluate ~verify:false config published policy
+          in
           let result = m_int.Session.result_bytes in
           let authorized = Session.authorized_encoded_bytes policy doc in
           let throughput seconds =
@@ -496,7 +486,7 @@ let contexts () =
           (fun context ->
             let config = Session.default_config ~context () in
             let published = publish_cached "hospital" ~layout:Layout.Tcsbr doc in
-            let m = evaluate ~verify:false config published pr_policy in
+            let m = Session.evaluate ~verify:false config published pr_policy in
             let b = m.Session.breakdown in
             Printf.printf "  %8.2f (comm %3.0f%%)" b.Cost_model.total_s
               (100. *. b.Cost_model.communication_s /. b.Cost_model.total_s);
@@ -556,7 +546,7 @@ let ablation () =
       List.iter
         (fun { pr_name; pr_policy } ->
           let m =
-            evaluate ~verify:false ~options config published pr_policy
+            Session.evaluate ~verify:false ~options config published pr_policy
           in
           let t = m.Session.breakdown.Cost_model.total_s in
           let cell =
@@ -593,7 +583,7 @@ let ablation_geometry () =
     (fun (chunk_size, fragment_size) ->
       let config = { config with Session.chunk_size; fragment_size } in
       let published = Session.publish config ~layout:Layout.Tcsbr doc in
-      let m = evaluate config published policy in
+      let m = Session.evaluate config published policy in
       Printf.printf "  %-22s %12.2f %12.1f %12d\n"
         (Printf.sprintf "%dB / %dB" chunk_size fragment_size)
         m.Session.breakdown.Cost_model.total_s
@@ -622,7 +612,7 @@ let memory_scaling () =
       let doc = W.Hospital.generate_sized ~seed:4 ~target_bytes:target () in
       let published = Session.publish config ~layout:Layout.Tcsbr doc in
       let peak policy =
-        (evaluate ~verify:false config published policy).Session.eval
+        (Session.evaluate ~verify:false config published policy).Session.eval
           .Evaluator.memory_peak_bytes
       in
       let doc_kb = String.length (Writer.tree_to_string doc) / 1024 in
@@ -725,8 +715,8 @@ let remote () =
       let session =
         Xmlac_soe.Remote.connect (Xmlac_wire.Server.loopback_connector server)
       in
-      let local = evaluate config published W.Profiles.secretary in
-      let m = evaluate_remote config session W.Profiles.secretary in
+      let local = Session.evaluate config published W.Profiles.secretary in
+      let m = Session.evaluate_remote config session W.Profiles.secretary in
       Xmlac_soe.Remote.close session;
       if m.Session.events <> local.Session.events then
         failwith "remote view diverges from the in-process channel";
@@ -744,92 +734,6 @@ let remote () =
     Container.all_schemes;
   note "wire payload equals the channel's bytes_to_soe under every scheme;";
   note "  the perf gate holds the equality in both directions"
-
-(* Decrypt-ahead pipeline ---------------------------------------------------- *)
-
-(* Not a paper figure: the worker-pool speedup on the channel's chunked
-   decrypt+verify path. Each row reads the full payload through the SOE
-   channel in 64 KB slabs at a given job count; the delivered bytes must
-   be identical at every count (checked by digest), only the wall time
-   may move. Wall metrics are exempt from gating; the byte counters and
-   cache tallies are gated like everywhere else. *)
-let pipeline () =
-  banner "Decrypt-ahead pipeline: full-payload channel reads vs worker domains";
-  let doc = Lazy.force hospital in
-  Printf.printf "  %-9s %5s %12s %10s %9s %10s\n" "Scheme" "jobs" "payload(B)"
-    "wall(s)" "speedup" "pool tasks";
-  List.iter
-    (fun scheme ->
-      let config = Session.default_config ~scheme () in
-      let published = Session.publish config ~layout:Layout.Tcsbr doc in
-      let container = published.Session.container in
-      let payload = Container.payload_length container in
-      let read_all counters pool =
-        let source =
-          Channel.source ?pool ~container ~key:config.Session.key counters
-        in
-        let buf = Buffer.create payload in
-        let slab = 65536 in
-        let pos = ref 0 in
-        while !pos < payload do
-          let n = min slab (payload - !pos) in
-          Buffer.add_string buf
-            (source.Xmlac_skip_index.Decoder.read ~pos:!pos ~len:n);
-          pos := !pos + n
-        done;
-        Xmlac_crypto.Sha1.digest (Buffer.contents buf)
-      in
-      let base_wall = ref 0.0 in
-      let base_digest = ref "" in
-      List.iter
-        (fun row_jobs ->
-          let counters = Channel.fresh_counters () in
-          (* domain spawn/join stays outside the timed region, like a
-             session that reuses its pool across reads *)
-          let timed_read pool =
-            Xmlac_obs.Span.time "pipeline.read" (fun () ->
-                read_all counters pool)
-          in
-          let digest, wall_s =
-            if row_jobs <= 1 then timed_read None
-            else
-              Xmlac_soe.Pool.with_pool ~jobs:row_jobs (fun p ->
-                  timed_read (Some p))
-          in
-          if row_jobs = 1 then begin
-            base_wall := wall_s;
-            base_digest := digest
-          end
-          else if digest <> !base_digest then
-            failwith "pipeline: delivered bytes diverge across job counts";
-          let speedup = !base_wall /. wall_s in
-          Printf.printf "  %-9s %5d %12d %10.3f %8.2fx %10s\n"
-            (Container.scheme_to_string scheme)
-            row_jobs payload wall_s speedup
-            (if row_jobs = 1 then "-" else "pooled");
-          record ~name:"pipeline"
-            ~profile:
-              (Printf.sprintf "%s_j%d"
-                 (String.lowercase_ascii (Container.scheme_to_string scheme))
-                 row_jobs)
-            (Metrics.
-               [
-                 int "payload_bytes" payload;
-                 int "bytes_decrypted"
-                   counters.Channel.bytes_decrypted;
-                 int "bytes_hashed" counters.Channel.bytes_hashed;
-               ]
-            @ Metrics.prefix "cache" (Channel.cache_metrics counters)
-            @ Metrics.
-                [
-                  int "pool.jobs" row_jobs;
-                  float "wall_read_s" wall_s;
-                  float "wall_speedup" speedup;
-                ]))
-        [ 1; 2; 4 ])
-    [ Container.Ecb_mht; Container.Cbc_shac ];
-  note "delivered bytes are digest-checked identical at every job count;";
-  note "  only wall time moves — the deterministic counters are gated as usual"
 
 (* Fleet serving ------------------------------------------------------------ *)
 
@@ -917,7 +821,7 @@ let fleet () =
               }
             connector
         in
-        let m = evaluate_remote config r W.Profiles.secretary in
+        let m = Session.evaluate_remote config r W.Profiles.secretary in
         let w = match m.Session.wire with Some w -> w | None -> assert false in
         Remote.close r;
         if m.Session.events <> local.Session.events then
@@ -945,7 +849,7 @@ let fleet () =
                       }
                     (Wire.Mux.session mux)
                 in
-                let m = evaluate_remote config r W.Profiles.secretary in
+                let m = Session.evaluate_remote config r W.Profiles.secretary in
                 let w =
                   match m.Session.wire with Some w -> w | None -> assert false
                 in
@@ -1182,6 +1086,23 @@ let dissem () =
             if pt_full <> pt_sync then
               failwith (tag ^ ": full re-fetch diverges from synced replica")
           in
+          (* the SOE view of the synced replica must match the origin
+             container's; returns the replica read's wall time *)
+          let check_view tag =
+            let published = replica () and sconfig = sconfig () in
+            let view, wall_read =
+              Xmlac_obs.Span.time "dissem.read" (fun () ->
+                  Session.evaluate sconfig published policy)
+            in
+            let origin =
+              Session.evaluate sconfig
+                { published with Session.container = Publisher.container p }
+                policy
+            in
+            if view.Session.events <> origin.Session.events then
+              failwith (tag ^ ": synced replica view diverges from origin");
+            wall_read
+          in
           for r = 1 to rounds do
             (* the canonical small edit: a same-length SSN rewrite, so only
                the chunks covering that text go dirty *)
@@ -1210,22 +1131,9 @@ let dissem () =
                 delta_bytes := !delta_bytes + b
             | Wire.Mirror.Uptodate | Wire.Mirror.Refetched _ ->
                 failwith "dissem: expected a chunk delta");
-            check_round (Printf.sprintf "dissem %s round %d" label r);
-            (* read throughput on the synced replica, checked against the
-               origin container's evaluation *)
-            let published = replica () and sconfig = sconfig () in
-            let view, wall_read =
-              Xmlac_obs.Span.time "dissem.read" (fun () ->
-                  evaluate sconfig published policy)
-            in
-            Xmlac_obs.Histogram.observe read_hist wall_read;
-            let origin =
-              evaluate sconfig
-                { published with Session.container = Publisher.container p }
-                policy
-            in
-            if view.Session.events <> origin.Session.events then
-              failwith "dissem: synced replica view diverges from origin"
+            let tag = Printf.sprintf "dissem %s round %d" label r in
+            check_round tag;
+            Xmlac_obs.Histogram.observe read_hist (check_view tag)
           done;
           (* key rotation: revoke a subject; the delta covers every chunk
              and carries the revocation list *)
@@ -1273,12 +1181,8 @@ let dissem () =
            with
           | Error _ -> ()
           | Ok () -> failwith "dissem: revoked subject still authorized");
-          (* the replica is job-count independent like any container *)
-          let published = replica () and sconfig = sconfig () in
-          let j1 = Session.evaluate ~jobs:1 sconfig published policy in
-          let j4 = Session.evaluate ~jobs:4 sconfig published policy in
-          if j1.Session.events <> j4.Session.events then
-            failwith "dissem: job counts disagree on the synced replica";
+          ignore
+            (check_view (Printf.sprintf "dissem %s rotation" label) : float);
           Wire.Mirror.close m;
           let chunks = Container.chunk_count (Publisher.container p) in
           Printf.printf
@@ -1326,8 +1230,7 @@ let dissem () =
    on wall-clock for the DES schemes. The gate pins [fast <= reference]
    per scheme row and a >= 4x speedup on the raw positional-ECB
    full-document decrypt (the bitsliced kernel with nothing else in the
-   way). All recorded integers are deterministic and job-independent: the
-   reads below run without a pool regardless of --jobs. *)
+   way). All recorded integers are deterministic. *)
 let crypto () =
   banner "Crypto engines: reference vs fast (bitsliced DES, batched Merkle)";
   let module Engine = Xmlac_crypto.Engine in
@@ -1518,7 +1421,7 @@ let bechamel_suite () =
             fun () -> Xmlac_crypto.Modes.positional_encrypt cipher ~base:0 block));
       (* Figure 12: the whole SOE pipeline with integrity *)
       Test.make ~name:"f12:soe-session"
-        (Staged.stage (fun () -> evaluate config published policy));
+        (Staged.stage (fun () -> Session.evaluate config published policy));
     ]
   in
   let grouped = Test.make_grouped ~name:"xmlac" ~fmt:"%s/%s" tests in
@@ -1565,7 +1468,6 @@ let experiments =
     ("memory_scaling", true, memory_scaling);
     ("update_costs", true, update_costs);
     ("remote", true, remote);
-    ("pipeline", true, pipeline);
     ("dissem", true, dissem);
     ("crypto", true, crypto);
     ("fleet", false, fleet);

@@ -1,18 +1,11 @@
 (* bench_gate — perf-regression gate over machine-readable bench reports.
 
    Usage: bench_gate.exe CURRENT.json BASELINE.json [--tolerance T]
-          bench_gate.exe --compare-stripped A.json B.json
 
-   Default mode checks (see Xmlac_obs.Gate):
+   Checks (see Xmlac_obs.Gate):
    - drift: every gated (non-wall-clock) metric of every baseline record
      must stay within a relative tolerance of its baseline value;
    - shape: the paper's cost orderings must hold within the current report.
-
-   --compare-stripped instead demands exact equality of the two reports
-   once every ungated metric (the wall, gc and pool families) and the
-   per-record wall times are stripped — the determinism check CI runs between reports
-   produced at different --jobs counts: the job count may move wall-clock
-   and pool activity, never a deterministic counter.
 
    Exit status: 0 = pass, 1 = violations found, 2 = usage or I/O error. *)
 
@@ -21,8 +14,7 @@ module Bench_report = Xmlac_obs.Bench_report
 
 let usage () =
   prerr_endline
-    "usage: bench_gate.exe CURRENT.json BASELINE.json [--tolerance T]\n\
-    \       bench_gate.exe --compare-stripped A.json B.json";
+    "usage: bench_gate.exe CURRENT.json BASELINE.json [--tolerance T]";
   exit 2
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bench_gate: " ^ m); exit 2) fmt
@@ -37,97 +29,9 @@ let load what path =
   | Ok t -> t
   | Error msg -> fail "%s %s: %s" what path msg
 
-(* --compare-stripped ------------------------------------------------------- *)
-
-let strip metrics = List.filter (fun (n, _) -> Gate.gated n) metrics
-
-let value_str v = Xmlac_obs.Metrics.value_to_string v
-
-(* exact equality of two records' gated metrics, with a message per
-   difference (missing metric, extra metric, differing value) *)
-let diff_record key ma mb acc =
-  let acc =
-    List.fold_left
-      (fun acc (n, va) ->
-        match List.assoc_opt n mb with
-        | None -> Printf.sprintf "%s: metric %s only in first report" key n :: acc
-        | Some vb ->
-            if va = vb then acc
-            else
-              Printf.sprintf "%s: %s differs (%s vs %s)" key n (value_str va)
-                (value_str vb)
-              :: acc)
-      acc ma
-  in
-  List.fold_left
-    (fun acc (n, _) ->
-      if List.mem_assoc n ma then acc
-      else Printf.sprintf "%s: metric %s only in second report" key n :: acc)
-    acc mb
-
-let diff_stripped (a : Bench_report.t) (b : Bench_report.t) =
-  let acc =
-    if a.Bench_report.mode <> b.Bench_report.mode then
-      [
-        Printf.sprintf "report: mode mismatch (%S vs %S)" a.Bench_report.mode
-          b.Bench_report.mode;
-      ]
-    else []
-  in
-  let acc =
-    List.fold_left
-      (fun acc (ra : Bench_report.record) ->
-        match
-          Bench_report.find b ~name:ra.Bench_report.name
-            ~profile:ra.Bench_report.profile
-        with
-        | None ->
-            Printf.sprintf "%s: record only in first report"
-              (Bench_report.key ra)
-            :: acc
-        | Some rb ->
-            diff_record (Bench_report.key ra)
-              (strip ra.Bench_report.metrics)
-              (strip rb.Bench_report.metrics)
-              acc)
-      acc a.Bench_report.records
-  in
-  List.rev
-    (List.fold_left
-       (fun acc (rb : Bench_report.record) ->
-         match
-           Bench_report.find a ~name:rb.Bench_report.name
-             ~profile:rb.Bench_report.profile
-         with
-         | Some _ -> acc
-         | None ->
-             Printf.sprintf "%s: record only in second report"
-               (Bench_report.key rb)
-             :: acc)
-       acc b.Bench_report.records)
-
-let run_compare_stripped path_a path_b =
-  let a = load "first report" path_a in
-  let b = load "second report" path_b in
-  match diff_stripped a b with
-  | [] ->
-      Printf.printf
-        "bench_gate: IDENTICAL — %d records match exactly with wall/gc/pool \
-         metrics stripped\n"
-        (List.length a.Bench_report.records);
-      exit 0
-  | diffs ->
-      Printf.eprintf "bench_gate: DIFFER — %d difference(s):\n"
-        (List.length diffs);
-      List.iter (fun d -> Printf.eprintf "  %s\n" d) diffs;
-      exit 1
-
-(* default drift+shape gate ------------------------------------------------- *)
-
 let () =
   let current_path = ref None
   and baseline_path = ref None
-  and compare_stripped = ref false
   and tolerance = ref Gate.default_tolerance in
   let rec parse = function
     | [] -> ()
@@ -135,9 +39,6 @@ let () =
         (match float_of_string_opt v with
         | Some t when t >= 0. -> tolerance := t
         | _ -> fail "invalid tolerance %S" v);
-        parse rest
-    | "--compare-stripped" :: rest ->
-        compare_stripped := true;
         parse rest
     | "--help" :: _ | "-h" :: _ -> usage ()
     | arg :: rest ->
@@ -152,7 +53,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   match (!current_path, !baseline_path) with
-  | Some cur, Some base when !compare_stripped -> run_compare_stripped cur base
   | Some cur, Some base ->
       let current = load "current report" cur in
       let baseline = load "baseline report" base in

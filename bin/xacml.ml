@@ -96,31 +96,6 @@ let remote_arg =
           "Fetch the container from a terminal at ADDR (unix:PATH or \
            tcp:HOST:PORT, see xterminal) instead of a local file.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the SOE's decrypt-ahead pipeline (default 1 = \
-           sequential). The delivered view and every deterministic counter \
-           are identical at any job count.")
-
-(* run [f] with the worker pool --jobs asks for (none when sequential) *)
-let with_jobs jobs f =
-  if jobs <= 1 then f None
-  else Xmlac_soe.Pool.with_pool ~jobs (fun pool -> f (Some pool))
-
-let pool_metrics ~jobs pool =
-  let open Xmlac_obs.Metrics in
-  prefix "pool"
-    [
-      int "jobs" jobs;
-      int "sections"
-        (match pool with None -> 0 | Some p -> Xmlac_soe.Pool.sections p);
-      int "tasks_run"
-        (match pool with None -> 0 | Some p -> Xmlac_soe.Pool.tasks_run p);
-    ]
-
 let layout_conv =
   let parse s =
     match Layout.of_string (String.uppercase_ascii s) with
@@ -181,7 +156,7 @@ let container_arg =
    to the document key — passphrase-derived per epoch for view, the
    license's fixed key for unlock. Returns the source, the scheme it
    speaks, the epoch, and the session to close when done. *)
-let open_source ?pool ?trace_id ?engine ~input ~remote ~container
+let open_source ?trace_id ?engine ~input ~remote ~container
     ~expect_scheme ~key_for counters =
   match remote with
   | Some addr_str ->
@@ -196,9 +171,7 @@ let open_source ?pool ?trace_id ?engine ~input ~remote ~container
       in
       let meta = Remote.metadata r in
       let epoch = meta.Wire.Protocol.key_epoch in
-      let source =
-        Remote.source ?pool ?engine r ~key:(key_for epoch) counters
-      in
+      let source = Remote.source ?engine r ~key:(key_for epoch) counters in
       (source, meta.Wire.Protocol.scheme, epoch, Some r)
   | None -> (
       match input with
@@ -207,8 +180,7 @@ let open_source ?pool ?trace_id ?engine ~input ~remote ~container
           let container = Container.of_bytes (read_file f) in
           let epoch = Container.key_epoch container in
           let source =
-            Channel.source ?pool ?engine ~container ~key:(key_for epoch)
-              counters
+            Channel.source ?engine ~container ~key:(key_for epoch) counters
           in
           (source, Container.scheme container, epoch, None))
 
@@ -451,13 +423,12 @@ let view_cmd =
              and this run's --trace-out).")
   in
   let run input pass remote container expect_scheme engine rules policy_file
-      query_str user dummy stats_flag trace_flag trace_out trace_id jobs =
+      query_str user dummy stats_flag trace_flag trace_out trace_id =
     let policy = assemble_policy ~rules ~policy_file ~user in
     let query = Option.map Xmlac_xpath.Parse.path query_str in
     let counters = Channel.fresh_counters () in
-    with_jobs jobs @@ fun pool ->
     let source, scheme, _epoch, remote_session =
-      open_source ?pool ?trace_id ~engine ~input ~remote ~container
+      open_source ?trace_id ~engine ~input ~remote ~container
         ~expect_scheme
         ~key_for:(fun epoch -> key_of_passphrase ~epoch pass)
         counters
@@ -532,7 +503,6 @@ let view_cmd =
           | Some r -> prefix "wire" (Wire.Stats.metrics (Remote.wire_stats r))
           | None -> [])
         @ prefix "cost" (Cost_model.breakdown_metrics b)
-        @ pool_metrics ~jobs pool
         @ [ float "wall_s" wall_s ]
       in
       List.iter (Fmt.epr "%s@.") (Xmlac_obs.Metrics.render metrics);
@@ -547,7 +517,7 @@ let view_cmd =
       const run $ input_opt_arg $ passphrase_arg $ remote_arg $ container_arg
       $ expect_scheme_arg $ engine_arg $ rules_arg $ policy_file_arg
       $ query_arg $ user_arg $ dummy $ stats_flag $ trace_flag $ trace_out
-      $ trace_id $ jobs_arg)
+      $ trace_id)
 
 (* explain -------------------------------------------------------------------- *)
 
@@ -681,7 +651,7 @@ let unlock_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print SOE cost statistics.")
   in
   let run input remote container expect_scheme engine license_file soe_pass
-      stats_flag jobs =
+      stats_flag =
     match
       Xmlac_soe.License.unseal
         ~soe_key:(key_of_passphrase soe_pass)
@@ -692,9 +662,8 @@ let unlock_cmd =
         exit 1
     | Ok lic ->
         let counters = Channel.fresh_counters () in
-        with_jobs jobs @@ fun pool ->
         let source, scheme, container_epoch, remote_session =
-          open_source ?pool ~engine ~input ~remote ~container ~expect_scheme
+          open_source ~engine ~input ~remote ~container ~expect_scheme
             ~key_for:(fun _ -> Xmlac_soe.License.key lic)
             counters
         in
@@ -730,7 +699,6 @@ let unlock_cmd =
               | Some r ->
                   prefix "wire" (Wire.Stats.metrics (Remote.wire_stats r))
               | None -> [])
-            @ pool_metrics ~jobs pool
           in
           List.iter (Fmt.epr "%s@.") (Xmlac_obs.Metrics.render metrics)
         end;
@@ -742,7 +710,7 @@ let unlock_cmd =
     Term.(
       const run $ input_opt_arg $ remote_arg $ container_arg
       $ expect_scheme_arg $ engine_arg $ license_file $ soe_key_arg
-      $ stats_flag $ jobs_arg)
+      $ stats_flag)
 
 (* update --------------------------------------------------------------------- *)
 

@@ -10,7 +10,7 @@ val block_size : int
 
 type key
 (** Expanded 11-round key schedule. Immutable once built: safe to share
-    across worker domains. *)
+    across domains. *)
 
 val expand : string -> key
 (** [expand k] expands a 16-byte key.

@@ -12,7 +12,7 @@ val blocks_per_pass : int
 
 type schedule
 (** Precomputed per-session lane masks (48 rounds x 48 bits, in EDE order
-    for one direction). Immutable once built: safe to share across worker
+    for one direction). Immutable once built: safe to share across
     domains. *)
 
 val decrypt_schedule : Des.Triple.key -> schedule

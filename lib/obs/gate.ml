@@ -13,11 +13,9 @@
 
    Wall-clock metrics (any dotted name whose final segment starts with
    "wall") are machine-dependent and never gated. Likewise the [gc.*]
-   family (allocation volume moves with the runtime, not the design) and
-   the [pool.*] family (job count is a run-time choice — CI runs the same
-   report at several [--jobs] values against one baseline). The [cache.*]
-   counters, by contrast, depend only on the access sequence and stay
-   gated like every other deterministic counter. *)
+   family (allocation volume moves with the runtime, not the design). The
+   [cache.*] counters, by contrast, depend only on the access sequence and
+   stay gated like every other deterministic counter. *)
 
 type violation = { where : string; detail : string }
 
@@ -32,16 +30,15 @@ let last_segment name =
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
 
 (* Does any dot-separated segment of [name] equal [seg]? Bench experiments
-   re-prefix session metrics (e.g. [tcsbr.pool.jobs]), so family membership
-   can't be read off the first segment alone. *)
+   re-prefix session metrics (e.g. [tcsbr.gc.minor_words]), so family
+   membership can't be read off the first segment alone. *)
 let has_segment name seg =
   String.split_on_char '.' name |> List.exists (String.equal seg)
 
 let gated name =
   let last = last_segment name in
   (not (String.length last >= 4 && String.sub last 0 4 = "wall"))
-  && (not (has_segment name "gc"))
-  && not (has_segment name "pool")
+  && not (has_segment name "gc")
 
 (* Drift ----------------------------------------------------------------- *)
 

@@ -192,7 +192,7 @@ type chunk_entry = { ce_plain : Bytes.t; ce_flags : Bytes.t }
 
 (* One per-fragment slice of a read request, carried through the window's
    fetch -> compute -> commit phases. Fields after [fu_out] are filled in
-   by the fetch (coordinator) and compute (worker) phases. *)
+   by the fetch and compute phases. *)
 type frag_unit = {
   fu_chunk : int;
   fu_frag : int;
@@ -271,8 +271,7 @@ let rec split_windows lst =
       w :: split_windows rest
 
 let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
-    ?(cache_chunks = 1) ?pool ?(engine = Engine.default) ~terminal ~key
-    counters =
+    ?(cache_chunks = 1) ?(engine = Engine.default) ~terminal ~key counters =
   let container = terminal.t_container in
   let scheme = C.scheme container in
   let verify_requested = verify in
@@ -288,7 +287,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
   let fast = engine = Engine.Fast in
   (* did a positional/CBC decrypt of [nblocks] hit the batch kernel? pure
      arithmetic over the engine choice, so the engine.* counters stay
-     deterministic and jobs-independent *)
+     deterministic *)
   let run_batched nblocks =
     cipher.Modes.decrypt_blocks <> None && nblocks >= Modes.batch_threshold
   in
@@ -298,22 +297,9 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     let rec go l n = if n <= 1 then l else go (l + 1) (n / 2) in
     go 0 frags_per_chunk
   in
-  let run_tasks =
-    match pool with
-    | Some p -> fun tasks -> Pool.run p tasks
-    | None ->
-        (* inline, with the pool's run-everything-then-raise-first protocol
-           so failures are identical at any job count *)
-        fun tasks ->
-          let errors = Array.make (Array.length tasks) None in
-          Array.iteri
-            (fun i task -> try task () with e -> errors.(i) <- Some e)
-            tasks;
-          Array.iter (function Some e -> raise e | None -> ()) errors
-  in
   (* SOE-side caches, bounded like a smart card's RAM, sharing one stats
-     record. All cache operations happen on the coordinator in unit order
-     (fetch phase), so hit/miss/evicted are independent of the job count. *)
+     record. All cache operations happen in the fetch phase, in unit order,
+     so hit/miss/evicted depend only on the read sequence. *)
   let frag_cache : (int * int, frag_entry) Lru.t =
     Lru.create ~capacity:cache_fragments ~stats:counters.cache
   in
@@ -436,8 +422,8 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
      state of the prefix (the leaf hash covers chunk and fragment ids plus
      the whole fragment ciphertext), the Merkle sibling digests, and the
      encrypted ChunkDigest. The fetch phase gathers (and charges) all of
-     that on the coordinator; hashing, Merkle reconstruction and block
-     decryption run in the compute phase, possibly on worker domains. *)
+     that; hashing, Merkle reconstruction and block decryption run in the
+     compute phase. *)
   let fetch_frag_unit (chunk, frag, lo, hi, out) =
     let entry =
       match Lru.find frag_cache (chunk, frag) with
@@ -513,11 +499,10 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
       !needed
     end
   in
-  (* pure per-unit work: verify the extended suffix against the chunk
-     digest, decrypt the blocks covering the requested range. Touches only
-     this unit's entry, so units run concurrently; all counter charges
-     wait for the commit phase. *)
-  let compute_frag u () =
+  (* per-unit work: verify the extended suffix against the chunk digest,
+     decrypt the blocks covering the requested range. Touches only this
+     unit's entry; all counter charges wait for the commit phase. *)
+  let compute_frag u =
     let t0 = Xmlac_obs.Span.now () in
     let e = u.fu_entry in
     if u.fu_did_ext && verify then begin
@@ -592,9 +577,8 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
      a chunk go in as known nodes; the union of their sibling covers backs
      the rest of the tree, minus any supplied node whose subtree contains a
      known leaf — those must be recomputed from the leaves or a tampered
-     fragment could hide behind its own fetched cover. Runs on the
-     coordinator between compute and commit, so verdict order, counters and
-     failure behaviour stay independent of the job count. *)
+     fragment could hide behind its own fetched cover. Runs between compute
+     and commit, so verdicts are committed in unit order. *)
   let node_covers_known knowns (n : Merkle.node) =
     let w = 1 lsl n.Merkle.level in
     List.exists
@@ -705,11 +689,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     let units = List.map fetch_frag_unit tuples in
     assert (!prefetched = []);
     phase "channel.fetch";
-    run_tasks
-      (Array.of_list
-         (List.filter_map
-            (fun u -> if frag_needs_compute u then Some (compute_frag u) else None)
-            units));
+    List.iter (fun u -> if frag_needs_compute u then compute_frag u) units;
     phase "channel.compute";
     if fast && verify then verify_frag_groups units;
     List.iter (commit_frag out) units;
@@ -820,7 +800,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     done;
     !needed)
   in
-  let compute_chunk u () =
+  let compute_chunk u =
     let t0 = Xmlac_obs.Span.now () in
     let e = u.cu_entry in
     if u.cu_fresh then begin
@@ -907,12 +887,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     let units = List.map fetch_chunk_unit tuples in
     assert (!prefetched = []);
     phase "channel.fetch";
-    run_tasks
-      (Array.of_list
-         (List.filter_map
-            (fun u ->
-              if chunk_needs_compute u then Some (compute_chunk u) else None)
-            units));
+    List.iter (fun u -> if chunk_needs_compute u then compute_chunk u) units;
     phase "channel.compute";
     List.iter (commit_chunk out) units;
     phase "channel.commit"
@@ -962,7 +937,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
   in
   { Xmlac_skip_index.Decoder.read; length = payload_len }
 
-let source ?verify ?cache_fragments ?cache_chunks ?pool ?engine ~container
-    ~key counters =
-  source_of_terminal ?verify ?cache_fragments ?cache_chunks ?pool ?engine
+let source ?verify ?cache_fragments ?cache_chunks ?engine ~container ~key
+    counters =
+  source_of_terminal ?verify ?cache_fragments ?cache_chunks ?engine
     ~terminal:(local_terminal container) ~key counters

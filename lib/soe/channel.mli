@@ -14,15 +14,13 @@
     [bytes_to_soe].
 
     Reads are processed as a pipeline of fixed-size windows, each in four
-    phases: {e plan} (predict the window's terminal fetches and issue them
-    as one batched round trip, when the terminal supports it), {e fetch}
-    (all cache operations and byte accounting, on the calling domain, in
-    unit order), {e compute} (hashing, Merkle reconstruction and block
-    decryption — pure per-unit work, optionally spread over a {!Pool} of
-    worker domains), and {e commit} (verdicts, counter charges and output
-    delivery, again in unit order). Because every observable effect happens
-    in the fetch/commit phases, delivered bytes, counters and failure
-    messages are byte-identical at any job count.
+    phases, all on the calling domain: {e plan} (predict the window's
+    terminal fetches and issue them as one batched round trip, when the
+    terminal supports it), {e fetch} (all cache operations and byte
+    accounting, in unit order), {e compute} (hashing, Merkle reconstruction
+    and block decryption, per unit in order; the first failing unit raises),
+    and {e commit} (verdicts, counter charges and output delivery, again in
+    unit order).
 
     Every exchange is tallied in {!counters}; the {!Cost_model} turns the
     tallies into simulated seconds. The cryptography is real: tampering with
@@ -41,8 +39,8 @@ type counters = {
   mutable chunk_fetches : int;
   mutable engine_batched_blocks : int;
       (** blocks decrypted through the fast engine's batch kernel — 0 under
-          the reference engine; deterministic at any job count, like all
-          other counters, because batching depends only on run lengths *)
+          the reference engine; deterministic like all other counters,
+          because batching depends only on run lengths *)
   mutable engine_merkle_groups : int;
       (** chunk-grouped Merkle recombinations the fast engine performed in
           place of per-fragment root walks (0 under reference) *)
@@ -128,7 +126,6 @@ val source_of_terminal :
   ?verify:bool ->
   ?cache_fragments:int ->
   ?cache_chunks:int ->
-  ?pool:Pool.t ->
   ?engine:Xmlac_crypto.Engine.t ->
   terminal:terminal ->
   key:Xmlac_crypto.Des.Triple.key ->
@@ -140,9 +137,6 @@ val source_of_terminal :
     SOE-side fragment cache (default 8 fragments ≈ a 2 KB working set, the
     paper's smart-card scale); [cache_chunks] the decrypted-chunk cache for
     the CBC schemes (default 1, the paper's model of chunk-at-a-time CBC).
-    [pool] runs the compute phase of each window on worker domains;
-    omitting it (or passing a 1-job pool) computes inline. Either way the
-    delivered bytes, counter values and failure behaviour are identical.
 
     [engine] (default {!Xmlac_crypto.Engine.Reference}) selects the crypto
     kernels: [Fast] decrypts block runs at or above
@@ -171,7 +165,6 @@ val source :
   ?verify:bool ->
   ?cache_fragments:int ->
   ?cache_chunks:int ->
-  ?pool:Pool.t ->
   ?engine:Xmlac_crypto.Engine.t ->
   container:Xmlac_crypto.Secure_container.t ->
   key:Xmlac_crypto.Des.Triple.key ->

@@ -50,7 +50,6 @@ val source :
   ?verify:bool ->
   ?cache_fragments:int ->
   ?cache_chunks:int ->
-  ?pool:Pool.t ->
   ?engine:Xmlac_crypto.Engine.t ->
   t ->
   key:Xmlac_crypto.Des.Triple.key ->

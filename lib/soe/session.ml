@@ -60,9 +60,6 @@ type measurement = {
   event_hist : Xmlac_obs.Histogram.t;
   events : Xmlac_xml.Event.t list;
   wire : Xmlac_wire.Stats.t option;
-  jobs : int;
-  pool_sections : int;
-  pool_tasks : int;
   gc_minor_words : float;
   gc_major_words : float;
 }
@@ -85,26 +82,23 @@ let timed_input hist (input : Input.t) =
         e);
   }
 
-(* Run [f] with the worker pool a job count asks for: none for the
-   sequential default, a scoped pool otherwise (its domains are joined
-   before the measurement is returned). *)
-let with_optional_pool ~jobs f =
-  if jobs <= 1 then f None
-  else Pool.with_pool ~jobs (fun pool -> f (Some pool))
-
 (* Shared measurement body: run the evaluator over a prepared source and
    collect every observable — identical for local and remote terminals, so
    their measurements are directly comparable. *)
 let run_measurement ?query ?options ?provenance ~cost ~strategy ~wire ~counters
-    ~jobs ~pool ~source policy =
+    ~source policy =
   let decoder = Decoder.of_source source in
   let event_hist = Xmlac_obs.Histogram.make "wall_event" in
   let gc0 = Gc.quick_stat () in
+  (* the session runs on this domain, so the domain's exact minor-heap
+     counter sees every word it allocates ([quick_stat]'s is coarser) *)
+  let minor0 = Gc.minor_words () in
   let result, wall_s =
     Xmlac_obs.Span.time "session.evaluate" (fun () ->
         Evaluator.run ?query ?options ?provenance ~policy
           (timed_input event_hist (Input.of_decoder decoder)))
   in
+  let minor1 = Gc.minor_words () in
   let gc1 = Gc.quick_stat () in
   let result_bytes =
     String.length (Xmlac_xml.Writer.events_to_string result.Evaluator.events)
@@ -127,41 +121,35 @@ let run_measurement ?query ?options ?provenance ~cost ~strategy ~wire ~counters
     event_hist;
     events = result.Evaluator.events;
     wire;
-    jobs;
-    pool_sections = (match pool with None -> 0 | Some p -> Pool.sections p);
-    pool_tasks = (match pool with None -> 0 | Some p -> Pool.tasks_run p);
-    gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
+    gc_minor_words = minor1 -. minor0;
     gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
   }
 
-let evaluate ?query ?(verify = true) ?strategy ?options ?provenance ?(jobs = 1)
-    config published policy =
+let evaluate ?query ?(verify = true) ?strategy ?options ?provenance config
+    published policy =
   let counters = Channel.fresh_counters () in
   let strategy =
     match strategy with
     | Some s -> s
     | None -> Layout.to_string published.layout
   in
-  with_optional_pool ~jobs (fun pool ->
-      let source =
-        Channel.source ~verify ?pool ~engine:config.engine
-          ~container:published.container ~key:config.key counters
-      in
-      run_measurement ?query ?options ?provenance ~cost:config.cost ~strategy
-        ~wire:None ~counters ~jobs ~pool ~source policy)
+  let source =
+    Channel.source ~verify ~engine:config.engine ~container:published.container
+      ~key:config.key counters
+  in
+  run_measurement ?query ?options ?provenance ~cost:config.cost ~strategy
+    ~wire:None ~counters ~source policy
 
 let evaluate_remote ?query ?(verify = true) ?(strategy = "REMOTE") ?options
-    ?provenance ?(jobs = 1) config remote policy =
+    ?provenance config remote policy =
   let counters = Channel.fresh_counters () in
   let run () =
-    with_optional_pool ~jobs (fun pool ->
-        let source =
-          Remote.source ~verify ?pool ~engine:config.engine remote
-            ~key:config.key counters
-        in
-        run_measurement ?query ?options ?provenance ~cost:config.cost ~strategy
-          ~wire:(Some (Remote.wire_stats remote)) ~counters ~jobs ~pool ~source
-          policy)
+    let source =
+      Remote.source ~verify ~engine:config.engine remote ~key:config.key
+        counters
+    in
+    run_measurement ?query ?options ?provenance ~cost:config.cost ~strategy
+      ~wire:(Some (Remote.wire_stats remote)) ~counters ~source policy
   in
   (* Evaluate inside the connection's trace context so session spans and
      channel phase events land in the same trace as the wire spans. *)
@@ -181,12 +169,6 @@ let metrics (m : measurement) : Xmlac_obs.Metrics.t =
   @ (match m.wire with
     | None -> []
     | Some w -> prefix "wire" (Xmlac_wire.Stats.metrics w))
-  @ prefix "pool"
-      [
-        int "jobs" m.jobs;
-        int "sections" m.pool_sections;
-        int "tasks_run" m.pool_tasks;
-      ]
   @ prefix "gc"
       [
         float "minor_words" m.gc_minor_words;

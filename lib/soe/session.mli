@@ -58,25 +58,27 @@ type measurement = {
   wire : Xmlac_wire.Stats.t option;
       (** wire-protocol counters when the terminal was remote; [None] for
           the in-process channel *)
-  jobs : int;  (** requested job count (1 = sequential, no pool) *)
-  pool_sections : int;  (** pipeline windows whose compute phase ran pooled *)
-  pool_tasks : int;  (** compute tasks executed across those windows *)
   gc_minor_words : float;
-      (** coordinator-domain [Gc.quick_stat] deltas across the run —
-          allocation volume, for spotting copy churn; machine/runtime
-          dependent, so exempt from perf gating like the [wall*] family *)
+      (** words allocated on the calling domain's minor heap during the
+          run, read with [Gc.minor_words]. The session runs on that domain,
+          so the count is exact: identical local sessions in one build
+          report identical counts. Threads sharing the domain (an
+          in-process server, say) add their allocation to it. *)
   gc_major_words : float;
+      (** the [Gc.quick_stat] major-heap delta across the run. Both [gc.*]
+          values move with the compiler and runtime, so they are exempt
+          from perf gating like the [wall*] family *)
 }
 
 val metrics : measurement -> Xmlac_obs.Metrics.t
 (** Everything observable about one evaluation, namespaced: [result_bytes],
     [eval.*] (evaluator stats), [index.*] (skip-index decoder stats),
     [channel.*] (SOE channel counters), [cache.*] (SOE cache hit/miss/
-    eviction counters), [cost.*] (modeled seconds), [pool.*] (worker-pool
-    activity), [gc.*] (allocation deltas) and [wall_s] (wall-clock).
-    [wall*], [gc.*] and [pool.*] are exempt from perf gating — the first
-    two are machine-dependent, the last is a run-time choice; [cache.*]
-    depends only on the access sequence and is gated normally. *)
+    eviction counters), [cost.*] (modeled seconds), [gc.*] (allocation
+    deltas) and [wall_s] (wall-clock). [wall*] and [gc.*] are exempt from
+    perf gating — wall time depends on the machine, allocation on the
+    runtime; [cache.*] depends only on the access sequence and is gated
+    normally. *)
 
 val evaluate :
   ?query:Xmlac_xpath.Ast.t ->
@@ -84,7 +86,6 @@ val evaluate :
   ?strategy:string ->
   ?options:Xmlac_core.Evaluator.options ->
   ?provenance:Xmlac_core.Provenance.collector ->
-  ?jobs:int ->
   config ->
   published ->
   Xmlac_core.Policy.t ->
@@ -93,9 +94,6 @@ val evaluate :
     SOE channel. [verify] (default true) enables integrity checking;
     [options] exposes the evaluator's ablation switches; [provenance]
     threads a {!Xmlac_core.Provenance.collector} through to the evaluator.
-    [jobs] (default 1) spreads the channel's decrypt+verify compute phase
-    over that many domains; delivered bytes and every non-[wall*],
-    non-[gc.*], non-[pool.*] metric are identical at any job count.
     @raise Xmlac_crypto.Secure_container.Integrity_failure on tampering. *)
 
 val evaluate_remote :
@@ -104,7 +102,6 @@ val evaluate_remote :
   ?strategy:string ->
   ?options:Xmlac_core.Evaluator.options ->
   ?provenance:Xmlac_core.Provenance.collector ->
-  ?jobs:int ->
   config ->
   Remote.t ->
   Xmlac_core.Policy.t ->

@@ -2,7 +2,6 @@ module C = Xmlac_crypto.Secure_container
 module Merkle = Xmlac_crypto.Merkle
 module Sha1 = Xmlac_crypto.Sha1
 module Lru = Xmlac_runtime.Lru
-module Pool = Xmlac_runtime.Pool
 
 (* One published container. [gen] is unique per full publication, so
    shared cache keys survive unpublish/republish of the same id without
@@ -899,12 +898,19 @@ let serve ?(max_sessions = 64) ?(mux = true) ?(domains = 1) ?timeout_s ?stop t
   in
   if domains <= 1 then accept_loop accept_blocking
   else begin
-    (* one acceptor per domain, all racing over one non-blocking listener;
-       connection threads are spawned from whichever domain wins *)
+    (* one acceptor per domain, the caller's included, all racing over one
+       non-blocking listener; connection threads are spawned from whichever
+       domain wins. Every domain is joined before the first failure (the
+       caller's, then in spawn order) is re-raised. *)
     Transport.set_nonblocking listener;
-    Pool.with_pool ~jobs:domains (fun pool ->
-        Pool.run pool
-          (Array.init domains (fun _ () -> accept_loop accept_racing)))
+    let acceptor () =
+      match accept_loop accept_racing with () -> None | exception e -> Some e
+    in
+    let spawned = List.init (domains - 1) (fun _ -> Domain.spawn acceptor) in
+    let own = acceptor () in
+    List.iter
+      (function Some e -> raise e | None -> ())
+      (own :: List.map Domain.join spawned)
   end;
   Mutex.lock m;
   while !active > 0 || !rejecting > 0 do

@@ -441,87 +441,6 @@ let test_lru_rejects_zero_capacity () =
   | (_ : (int, int) Lru.t) -> Alcotest.fail "capacity 0 accepted"
   | exception Invalid_argument _ -> ()
 
-(* Worker pool --------------------------------------------------------------- *)
-
-let test_pool_runs_all_tasks () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let n = 37 in
-          let hit = Array.make n false in
-          Pool.run pool (Array.init n (fun i () -> hit.(i) <- true));
-          check bool_t
-            (Printf.sprintf "all %d tasks ran at jobs=%d" n jobs)
-            true
-            (Array.for_all Fun.id hit);
-          Pool.run pool (Array.init 5 (fun _ () -> ()));
-          check int_t "sections counted" 2 (Pool.sections pool);
-          check int_t "tasks counted" (n + 5) (Pool.tasks_run pool)))
-    [ 1; 3 ]
-
-exception Boom of int
-
-let test_pool_exception_deterministic () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let ran = Array.make 10 false in
-          let tasks =
-            Array.init 10 (fun i () ->
-                ran.(i) <- true;
-                if i = 3 || i = 7 then raise (Boom i))
-          in
-          match Pool.run pool tasks with
-          | () -> Alcotest.fail "expected Boom"
-          | exception Boom i ->
-              check int_t
-                (Printf.sprintf "smallest failing index wins at jobs=%d" jobs)
-                3 i;
-              check bool_t "every task still ran" true (Array.for_all Fun.id ran)))
-    [ 1; 4 ]
-
-(* Determinism across --jobs ------------------------------------------------- *)
-
-let gated_metrics m =
-  List.filter (fun (n, _) -> Xmlac_obs.Gate.gated n) (Session.metrics m)
-
-let test_jobs_determinism () =
-  let doc =
-    Xmlac_workload.Hospital.generate ~seed:5
-      ~config:{ Xmlac_workload.Hospital.default_config with folders = 4 }
-      ()
-  in
-  let policy = Xmlac_workload.Profiles.doctor ~user:"dr00" in
-  List.iter
-    (fun scheme ->
-      let config =
-        {
-          (Session.default_config ~scheme ()) with
-          Session.chunk_size = 1024;
-          fragment_size = 128;
-        }
-      in
-      let published = Session.publish config ~layout:Layout.Tcsbr doc in
-      let base = Session.evaluate config published policy in
-      let base_out = Xmlac_xml.Writer.events_to_string base.Session.events in
-      List.iter
-        (fun jobs ->
-          let m = Session.evaluate ~jobs config published policy in
-          check Alcotest.string
-            (Printf.sprintf "%s: output bytes identical at jobs=%d"
-               (Container.scheme_to_string scheme) jobs)
-            base_out
-            (Xmlac_xml.Writer.events_to_string m.Session.events);
-          check bool_t
-            (Printf.sprintf "%s: gated metrics identical at jobs=%d"
-               (Container.scheme_to_string scheme) jobs)
-            true
-            (gated_metrics base = gated_metrics m);
-          check bool_t "pool activity reported" true
-            (m.Session.pool_sections > 0 && m.Session.pool_tasks > 0))
-        [ 2; 4 ])
-    [ Container.Ecb_mht; Container.Cbc_shac ]
-
 let test_cache_hits_on_multi_rule_profile () =
   let doc =
     Xmlac_workload.Hospital.generate ~seed:3
@@ -539,6 +458,38 @@ let test_cache_hits_on_multi_rule_profile () =
   let m = Session.evaluate config published (Xmlac_workload.Profiles.doctor ~user:"dr00") in
   check bool_t "SOE caches hit on a multi-rule profile" true
     (m.Session.counters.Channel.cache.Lru.hits > 0)
+
+(* Allocation --------------------------------------------------------------- *)
+
+(* A session runs on the calling domain, so [gc.minor_words] counts exactly
+   the words it allocates: identical sessions in one process report the
+   same figure, the first one included. *)
+let test_identical_sessions_allocate_identically () =
+  let doc =
+    Xmlac_workload.Hospital.generate ~seed:5
+      ~config:{ Xmlac_workload.Hospital.default_config with folders = 40 }
+      ()
+  in
+  let policy = Xmlac_workload.Profiles.doctor ~user:"dr00" in
+  List.iter
+    (fun scheme ->
+      let name = Container.scheme_to_string scheme in
+      let config =
+        Session.default_config ~scheme ~engine:Xmlac_crypto.Engine.Fast ()
+      in
+      let published = Session.publish config ~layout:Layout.Tcsbr doc in
+      let minor_words () =
+        (Session.evaluate config published policy).Session.gc_minor_words
+      in
+      let first = minor_words () in
+      check bool_t (name ^ ": allocation counted") true (first > 0.);
+      List.iter
+        (fun run ->
+          check (Alcotest.float 0.)
+            (Printf.sprintf "%s: run %d allocates like run 1" name run)
+            first (minor_words ()))
+        [ 2; 3 ])
+    [ Container.Ecb_mht; Container.Cbc_shac ]
 
 (* Licenses ----------------------------------------------------------------- *)
 
@@ -647,6 +598,8 @@ let () =
         @ [
             Alcotest.test_case "random access costs" `Quick test_channel_random_access_costs;
             Alcotest.test_case "cache avoids refetch" `Quick test_channel_cache_avoids_refetch;
+            Alcotest.test_case "cache hits on multi-rule profile" `Quick
+              test_cache_hits_on_multi_rule_profile;
             Alcotest.test_case "eviction costs refetches" `Quick
               test_cache_eviction_costs_refetches;
             Alcotest.test_case "tamper detected" `Quick test_channel_tamper_detected;
@@ -665,6 +618,8 @@ let () =
           Alcotest.test_case "all scheme × layout combinations" `Quick
             test_every_scheme_layout_combination;
           prop_full_pipeline_equals_oracle;
+          Alcotest.test_case "identical sessions allocate identically" `Quick
+            test_identical_sessions_allocate_identically;
         ] );
       ( "lru",
         [
@@ -673,18 +628,6 @@ let () =
             test_lru_peek_does_not_perturb;
           Alcotest.test_case "zero capacity rejected" `Quick
             test_lru_rejects_zero_capacity;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "runs all tasks" `Quick test_pool_runs_all_tasks;
-          Alcotest.test_case "deterministic exception" `Quick
-            test_pool_exception_deterministic;
-        ] );
-      ( "jobs",
-        [
-          Alcotest.test_case "jobs 1/2/4 determinism" `Quick test_jobs_determinism;
-          Alcotest.test_case "cache hits on multi-rule profile" `Quick
-            test_cache_hits_on_multi_rule_profile;
         ] );
       ( "license",
         [
