@@ -806,26 +806,18 @@ let fleet () =
         Array.init endpoints (fun e ->
             Wire.Mux.connect ~trace:(Printf.sprintf "fleet-ep-%d" e) connector)
       in
-      (* sequential v1.1 reference: one plain short-form-hello connection;
-         it binds the first published container ("records") and pins the
-         payload bytes every multiplexed records client must also meter *)
-      let v1_payload =
+      (* sequential reference: one plain connection naming no container;
+         it binds the first published one ("records") and pins the payload
+         bytes every multiplexed records client must also meter *)
+      let plain_payload =
         let id, config, _, local = List.hd tenants in
         assert (id = "records");
-        let r =
-          Remote.connect
-            ~config:
-              {
-                Wire.Client.default_config with
-                Wire.Client.protocol_version = 1;
-              }
-            connector
-        in
+        let r = Remote.connect connector in
         let m = Session.evaluate_remote config r W.Profiles.secretary in
         let w = match m.Session.wire with Some w -> w | None -> assert false in
         Remote.close r;
         if m.Session.events <> local.Session.events then
-          failwith "fleet: v1.1 reference diverges from local evaluation";
+          failwith "fleet: plain reference diverges from local evaluation";
         w.Wire.Stats.payload_bytes
       in
       let hist = Xmlac_obs.Histogram.make "fleet.rtt" in
@@ -884,17 +876,15 @@ let fleet () =
           | None -> ())
         failures;
       Array.iter Wire.Mux.close muxes;
-      (* byte-equality spot check: multiplexed v1.2 sessions meter exactly
-         what the sequential v1.1 connection did *)
+      (* byte-equality spot check: multiplexed sessions meter exactly what
+         the sequential plain connection did *)
       (match Hashtbl.find_opt payload_by_tenant "records" with
-      | Some p when p = v1_payload -> ()
+      | Some p when p = plain_payload -> ()
       | Some p ->
           failwith
-            (Printf.sprintf "fleet: mux payload %d <> v1.1 payload %d" p
-               v1_payload)
+            (Printf.sprintf "fleet: mux payload %d <> plain payload %d" p
+               plain_payload)
       | None -> failwith "fleet: no records client completed");
-      let totals = Wire.Server.totals server in
-      let cache = Wire.Server.cache_stats server in
       let p50 = Xmlac_obs.Histogram.quantile hist 0.5 in
       let p99 = Xmlac_obs.Histogram.quantile hist 0.99 in
       Printf.printf
@@ -902,12 +892,6 @@ let fleet () =
         clients endpoints (List.length tenants);
       Printf.printf "  per-client latency: p50 %.4fs  p99 %.4fs  mean %.4fs\n"
         p50 p99 (Xmlac_obs.Histogram.mean hist);
-      Printf.printf
-        "  server: %d requests, %d mux sessions, %d busy rejections, cache \
-         %d/%d hit/miss\n"
-        totals.Wire.Stats.requests totals.Wire.Stats.mux_sessions
-        totals.Wire.Stats.busy_rejections cache.Xmlac_runtime.Lru.hits
-        cache.Xmlac_runtime.Lru.misses;
       (* admin plane cross-check: the Stats frame a local client fetches
          must agree with the registry's own snapshot, tenant for tenant *)
       let wire_view =
@@ -919,6 +903,13 @@ let fleet () =
         | Error msg -> failwith ("fleet: Stats frame rejected: " ^ msg)
       in
       let own_view = Wire.Server.telemetry_snapshot server in
+      let sr = own_view.Wire.Telemetry.server in
+      Printf.printf
+        "  server: %d requests, %d mux sessions, %d busy rejections, cache \
+         %d/%d hit/miss\n"
+        sr.Wire.Telemetry.sr_requests sr.Wire.Telemetry.sr_mux_opened
+        sr.Wire.Telemetry.sr_busy_rejections sr.Wire.Telemetry.sr_cache_hits
+        sr.Wire.Telemetry.sr_cache_misses;
       List.iter2
         (fun (a : Wire.Telemetry.tenant_view) (b : Wire.Telemetry.tenant_view)
            ->

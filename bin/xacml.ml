@@ -152,8 +152,9 @@ let container_arg =
 
 (* Open the SOE byte source for view/unlock: a local container file or a
    remote terminal session. [key_for] maps the container's key epoch (0
-   pre-dissemination, or when a downgraded handshake could not carry it)
-   to the document key — passphrase-derived per epoch for view, the
+   until the first key rotation; a remote terminal advertises it in its
+   hello reply) to the document key — passphrase-derived per epoch for
+   view, the
    license's fixed key for unlock. Returns the source, the scheme it
    speaks, the epoch, and the session to close when done. *)
 let open_source ?trace_id ?engine ~input ~remote ~container

@@ -8,7 +8,7 @@
 
    Each [-i] publishes one container under an id ([ID=PATH], or the file's
    basename without extension for a bare PATH); clients name the id in
-   their v1.2 hello, or omit it to get the first one published. SIGHUP
+   their hello, or omit it to get the first one published. SIGHUP
    re-reads every -i file (and the --revoked list) and republishes —
    the dissemination path: a publisher overwrites the container file
    with `xacml publish-update`, signals the terminal, and syncing
@@ -39,7 +39,7 @@ let input_arg =
     & info [ "i"; "input" ] ~docv:"[ID=]FILE"
         ~doc:
           "Published container to serve; repeatable. ID names the \
-           container for v1.2 clients (default: the file's basename \
+           container in client hellos (default: the file's basename \
            without extension).")
 
 let listen_arg =
@@ -66,21 +66,16 @@ let timeout_arg =
 let stats_arg =
   Arg.(
     value & flag
-    & info [ "stats" ] ~doc:"Print wire counters on shutdown (stderr).")
+    & info [ "stats" ]
+        ~doc:
+          "Print the telemetry snapshot and the registry cache counters on \
+           shutdown (stderr).")
 
 let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:"Accept/dispatch loops racing on the listener (default 1).")
-
-let no_mux_arg =
-  Arg.(
-    value & flag
-    & info [ "no-mux" ]
-        ~doc:
-          "Refuse the v1.2 session-multiplexing grant; every hello gets a \
-           plain single-session connection.")
 
 let telemetry_arg =
   Arg.(
@@ -146,7 +141,52 @@ let read_revoked = function
       |> List.map String.trim
       |> List.filter (fun l -> l <> "" && l.[0] <> '#')
 
-let run inputs listen sessions timeout stats_flag domains no_mux telemetry_file
+(* The snapshot as aligned "name value" lines: server-wide counters, then
+   each tenant's, then the shared cache. *)
+let render_telemetry (v : Wire.Telemetry.view) =
+  let module M = Xmlac_obs.Metrics in
+  let sr = v.Wire.Telemetry.server in
+  M.render
+    (M.prefix "server"
+       M.
+         [
+           int "admitted" sr.Wire.Telemetry.sr_admitted;
+           int "active" sr.sr_active;
+           int "busy_rejections" sr.sr_busy_rejections;
+           int "mux_opened" sr.sr_mux_opened;
+           int "mux_retired" sr.sr_mux_retired;
+           int "requests" sr.sr_requests;
+           int "republishes" sr.sr_republishes;
+           int "syncs" sr.sr_syncs;
+           int "sync_uptodate" sr.sr_sync_uptodate;
+           int "delta_bytes" sr.sr_delta_bytes;
+           int "containers" sr.sr_containers;
+         ]
+    @ List.concat_map
+        (fun (tv : Wire.Telemetry.tenant_view) ->
+          M.prefix ("tenant." ^ tv.tv_id)
+            M.
+              [
+                int "generation" tv.tv_generation;
+                int "sessions" tv.tv_sessions;
+                int "requests" tv.tv_requests;
+                int "errors" tv.tv_errors;
+                int "cache_hits" tv.tv_cache_hits;
+                int "cache_misses" tv.tv_cache_misses;
+                int "reply_bytes" tv.tv_reply_bytes;
+                float "service_p50_s" tv.tv_service.sv_p50_s;
+                float "service_p99_s" tv.tv_service.sv_p99_s;
+              ])
+        v.tenants
+    @ M.prefix "registry_cache"
+        M.
+          [
+            int "hits" sr.sr_cache_hits;
+            int "misses" sr.sr_cache_misses;
+            int "evicted" sr.sr_cache_evicted;
+          ])
+
+let run inputs listen sessions timeout stats_flag domains telemetry_file
     telemetry_interval revoked_file trace_file =
   if domains < 1 then die "--domains must be >= 1";
   if telemetry_interval <= 0. then die "--telemetry-interval must be positive";
@@ -243,11 +283,10 @@ let run inputs listen sessions timeout stats_flag domains no_mux telemetry_file
         done)
       ()
   in
-  Printf.printf "xterminal: serving on %s (%d domain%s%s)\n%!"
+  Printf.printf "xterminal: serving on %s (%d domain%s)\n%!"
     (Wire.Transport.addr_to_string (Wire.Transport.bound_addr listener))
     domains
-    (if domains = 1 then "" else "s")
-    (if no_mux then ", mux off" else "");
+    (if domains = 1 then "" else "s");
   List.iter
     (fun id ->
       match Wire.Server.metadata_of server id with
@@ -262,7 +301,7 @@ let run inputs listen sessions timeout stats_flag domains no_mux telemetry_file
      transport error on a closed listener ends the loop the same way *)
   let serve () =
     try
-      Wire.Server.serve ~max_sessions:sessions ~mux:(not no_mux) ~domains
+      Wire.Server.serve ~max_sessions:sessions ~domains
         ?timeout_s:timeout ~stop server listener
     with Wire.Error.Wire _ -> ()
   in
@@ -283,20 +322,7 @@ let run inputs listen sessions timeout stats_flag domains no_mux telemetry_file
     sr.Wire.Telemetry.sr_requests sr.Wire.Telemetry.sr_admitted
     sr.Wire.Telemetry.sr_busy_rejections sr.Wire.Telemetry.sr_cache_hits
     sr.Wire.Telemetry.sr_cache_misses;
-  if stats_flag then begin
-    let metrics = Wire.Stats.metrics (Wire.Server.totals server) in
-    List.iter (Printf.eprintf "%s\n") (Xmlac_obs.Metrics.render metrics);
-    let cache = Wire.Server.cache_stats server in
-    List.iter (Printf.eprintf "%s\n")
-      (Xmlac_obs.Metrics.render
-         (Xmlac_obs.Metrics.prefix "registry_cache"
-            Xmlac_obs.Metrics.
-              [
-                int "hits" cache.Xmlac_runtime.Lru.hits;
-                int "misses" cache.Xmlac_runtime.Lru.misses;
-                int "evicted" cache.Xmlac_runtime.Lru.evicted;
-              ]))
-  end
+  if stats_flag then List.iter (Printf.eprintf "%s\n") (render_telemetry view)
 
 let () =
   let cmd =
@@ -307,7 +333,7 @@ let () =
             protocol (the untrusted terminal of the paper's architecture).")
       Term.(
         const run $ input_arg $ listen_arg $ sessions_arg $ timeout_arg
-        $ stats_arg $ domains_arg $ no_mux_arg $ telemetry_arg
+        $ stats_arg $ domains_arg $ telemetry_arg
         $ telemetry_interval_arg $ revoked_arg $ trace_arg)
   in
   exit (Cmd.eval cmd)

@@ -62,10 +62,9 @@ let wire_seed_frames =
     (let open Xmlac_wire.Protocol in
      let reqs =
        [
-         Hello { version; container = ""; mux = false; trace = "" };
-         Hello { version; container = "default"; mux = true; trace = "" };
-         Hello { version; container = "default"; mux = true; trace = "fuzz-1" };
-         Hello { version = 1; container = ""; mux = false; trace = "" };
+         Hello { container = ""; mux = false; trace = "" };
+         Hello { container = "default"; mux = true; trace = "" };
+         Hello { container = "default"; mux = true; trace = "fuzz-1" };
          Get_fragment { chunk = 1; fragment = 2; lo = 0; hi = 64 };
          Get_chunk { chunk = 0 };
          Get_digest { chunk = 3 };
@@ -79,14 +78,12 @@ let wire_seed_frames =
        [
          Hello_ok
            {
-             meta_version = version;
              scheme = C.Ecb_mht;
              chunk_size = 512;
              fragment_size = 64;
              payload_length = 2048;
              chunk_count = 4;
              integrity = true;
-             batching = true;
              mux = true;
              trace = true;
              generation = 0;
@@ -94,14 +91,12 @@ let wire_seed_frames =
            };
          Hello_ok
            {
-             meta_version = version;
              scheme = C.Aes_ctr;
              chunk_size = 512;
              fragment_size = 64;
              payload_length = 2048;
              chunk_count = 4;
              integrity = true;
-             batching = true;
              mux = false;
              trace = false;
              generation = 0;
@@ -118,7 +113,8 @@ let wire_seed_frames =
          Err { code = 2; message = "chunk out of range" };
        ]
      in
-     let req_payloads = List.map encode_request reqs in
+     (* a hello of another version, which both ends refuse *)
+     let req_payloads = "\x01XWTP\x00\x01" :: List.map encode_request reqs in
      let resp_payloads = List.map encode_response resps in
      let payloads = req_payloads @ resp_payloads in
      Array.of_list (payloads @ List.map Xmlac_wire.Frame.encode payloads))

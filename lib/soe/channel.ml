@@ -120,7 +120,7 @@ type terminal = {
   fetch_siblings : chunk:int -> fragment:int -> string list;
   fetch_many : (fetch_req list -> fetch_reply list) option;
       (* several fetches in one round trip, replies in request order; None
-         when the terminal has no such fast path (local, or a v1.0 remote) *)
+         when there is no round trip to save (the in-process terminal) *)
 }
 
 let local_terminal container =

@@ -107,8 +107,8 @@ type terminal = {
           {!Xmlac_crypto.Merkle.sibling_cover} order *)
   fetch_many : (fetch_req list -> fetch_reply list) option;
       (** several fetches answered in one round trip, replies in request
-          order; [None] when the terminal has no such fast path (local, or
-          a terminal that does not advertise batching) *)
+          order; [None] when the terminal has no round trip to save (the
+          in-process terminal) *)
 }
 (** What the SOE asks of a terminal. Nothing a terminal returns is trusted:
     the channel validates every length and verifies cryptographically

@@ -119,10 +119,7 @@ let connect ?config ?container ?trace_id ?expect_scheme connector =
           fetch_siblings =
             (fun ~chunk ~fragment ->
               Wire.Client.fetch_siblings client ~chunk ~fragment);
-          fetch_many =
-            (if meta.Wire.Protocol.batching then
-               Some (fun reqs -> fetch_many client reqs)
-             else None);
+          fetch_many = Some (fetch_many client);
         }
       in
       { client; terminal }

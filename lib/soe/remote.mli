@@ -20,7 +20,7 @@ val connect :
   t
 (** Connect, handshake, validate the advertised geometry. [container]
     names the published container to bind on a multi-tenant terminal
-    (overrides [config.container]; requires an XWTP v1.2 terminal).
+    (overrides [config.container]).
     [trace_id] (overrides [config.trace]) offers trace propagation in the
     hello; see {!Xmlac_wire.Client.config}.
     @raise Xmlac_wire.Error.Wire ([Handshake _]) when the terminal's story
@@ -57,9 +57,9 @@ val source :
   Xmlac_skip_index.Decoder.source
 (** {!Channel.source_of_terminal} over this remote terminal — the same
     evaluator-facing interface, verification included, as the in-process
-    channel. When the terminal advertises batching, the channel's window
-    planner coalesces its predicted fetches into [Batch] frames (counted in
-    the client's [batched_requests]); payload accounting is unchanged, so
+    channel. The channel's window planner coalesces its predicted fetches
+    into [Batch] frames (counted in the client's [batched_requests]);
+    payload accounting is unchanged, so
     the local/remote [bytes_to_soe] = [payload_bytes] equality still
     holds. *)
 

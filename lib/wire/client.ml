@@ -5,7 +5,6 @@ type config = {
   retry_seed : int;
   max_payload : int;
   container : string;
-  protocol_version : int;
   trace : string;
 }
 
@@ -17,7 +16,6 @@ let default_config =
     retry_seed = 0;
     max_payload = Frame.max_payload_default;
     container = "";
-    protocol_version = Protocol.version;
     trace = "";
   }
 
@@ -83,10 +81,6 @@ type t = {
   connector : unit -> Transport.t;
   mutable transport : Transport.t option;
   mutable meta : Protocol.metadata option;
-  mutable trace_sent : string;
-      (* the trace id the current connection's hello actually carried:
-         "" once the trace-strip downgrade fires, so reconnects do not
-         re-offer an extension the terminal already rejected *)
   stats : Stats.t;
 }
 
@@ -118,62 +112,24 @@ let roundtrip t transport req =
   t.stats.replies <- t.stats.replies + 1;
   resp
 
-let hello ~version ~container ~trace =
-  Protocol.Hello
-    {
-      version;
-      container;
-      mux = false;
-      trace = (if version >= 2 then trace else "");
-    }
-
-(* Version negotiation: offer our configured version; a terminal that
-   rejects it gets one v1.1 short-form hello before we give up — the
-   graceful downgrade path against pre-fleet terminals. Rejection arrives
-   in two shapes: a v1.2-era terminal answers a too-new version with
-   [err_unsupported], but a genuine v1.1 decoder cannot even parse the v2
-   hello's trailing flags/container bytes and answers [err_bad_request]
-   ("trailing bytes"), so both codes downgrade. The ladder has one extra
-   rung when the hello carried a trace id: a pre-telemetry v1.2 terminal
-   rejects the unknown trace flag bit with [err_bad_request] even though
-   it speaks our version fine, so the first retry re-offers the {e same}
-   version with the trace extension stripped, and only then does the
-   version drop. The v1 downgrade cannot name a container (v1 hellos
-   have no room for one), so a client pinned to a specific container
-   refuses instead. *)
+(* One hello at the one protocol version. A busy terminal is weather and
+   retries; any other refusal is the terminal's decision and ends the
+   connect. *)
 let handshake t transport =
-  let refuse code message =
-    raise
-      (Error.Wire
-         (Error.Handshake
-            (Printf.sprintf "terminal refused handshake (%d): %s" code message)))
-  in
-  let exchange ~trace version =
-    roundtrip t transport (hello ~version ~container:t.config.container ~trace)
-  in
-  let rec go ~trace version =
-    match exchange ~trace version with
-    | Protocol.Hello_ok meta ->
-        t.trace_sent <- (if version >= 2 then trace else "");
-        meta
-    | Protocol.Err { code; message } when code = Protocol.err_busy ->
-        raise (Error.Wire (Error.Busy message))
-    | Protocol.Err { code; _ }
-      when (code = Protocol.err_unsupported || code = Protocol.err_bad_request)
-           && trace <> "" && version >= 2 ->
-        (* trace-strip rung: same version, no trace extension *)
-        go ~trace:"" version
-    | Protocol.Err { code; message }
-      when (code = Protocol.err_unsupported || code = Protocol.err_bad_request)
-           && version > 1 ->
-        if t.config.container <> "" then
-          refuse code
-            (message ^ " (and a v1 downgrade cannot name a container)")
-        else go ~trace:"" 1
-    | Protocol.Err { code; message } -> refuse code message
-    | resp -> Error.protocolf "expected hello reply, got %s" (response_kind resp)
-  in
-  go ~trace:t.trace_sent t.config.protocol_version
+  let { container; trace; _ } = t.config in
+  match
+    roundtrip t transport (Protocol.Hello { container; mux = false; trace })
+  with
+  | Protocol.Hello_ok meta -> meta
+  | Protocol.Err { code; message } when code = Protocol.err_busy ->
+      raise (Error.Wire (Error.Busy message))
+  | Protocol.Err { code; message } ->
+      raise
+        (Error.Wire
+           (Error.Handshake
+              (Printf.sprintf "terminal refused handshake (%d): %s" code
+                 message)))
+  | resp -> Error.protocolf "expected hello reply, got %s" (response_kind resp)
 
 let drop t =
   (match t.transport with Some tr -> Transport.close tr | None -> ());
@@ -232,7 +188,6 @@ let connect ?(config = default_config) connector =
       connector;
       transport = None;
       meta = None;
-      trace_sent = config.trace;
       stats = Stats.make ();
     }
   in
@@ -247,7 +202,7 @@ let metadata t =
 let trace_granted t =
   match t.meta with Some m -> m.Protocol.trace | None -> false
 
-let trace t = t.trace_sent
+let trace t = t.config.trace
 
 (* One round trip inside a "wire.request" span when this connection
    negotiated trace linkage and a sink is on. The span is open {e across}
@@ -255,10 +210,10 @@ let trace t = t.trace_sent
    ambient context and stamps its id on the frame — that id is what the
    server's [server.request] span names as parent. *)
 let traced_roundtrip t tr req =
-  if t.trace_sent = "" || not (Xmlac_obs.Trace.enabled ()) then
+  if t.config.trace = "" || not (Xmlac_obs.Trace.enabled ()) then
     roundtrip t tr req
   else
-    Xmlac_obs.Context.with_trace t.trace_sent @@ fun () ->
+    Xmlac_obs.Context.with_trace t.config.trace @@ fun () ->
     let s = Xmlac_obs.Span.start "wire.request" in
     Fun.protect
       ~finally:(fun () -> ignore (Xmlac_obs.Span.finish s : float))

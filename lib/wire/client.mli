@@ -24,19 +24,12 @@ type config = {
           fleet differently so their retries de-synchronize *)
   max_payload : int;  (** largest acceptable reply frame *)
   container : string;
-      (** container id the handshake binds to ([""] = terminal default;
-          requires a v2-capable terminal when non-empty) *)
-  protocol_version : int;
-      (** hello version offered (default {!Protocol.version}; set 1 to
-          speak pure XWTP v1.1) *)
+      (** container id the handshake binds to ([""] = terminal default) *)
   trace : string;
       (** trace id offered in the hello ([""], the default, disables
-          tracing; at most {!Protocol.max_trace_id} bytes). When granted,
-          each request runs in a ["wire.request"] span tied to this trace
-          (emitted only while a {!Xmlac_obs.Trace} sink is installed). A
-          pre-telemetry terminal that rejects the trace extension costs
-          one extra handshake round trip (the trace-strip rung of the
-          downgrade ladder) and the session proceeds untraced. *)
+          tracing; at most {!Protocol.max_trace_id} bytes). Each request
+          runs in a ["wire.request"] span tied to this trace (emitted only
+          while a {!Xmlac_obs.Trace} sink is installed). *)
 }
 
 val default_config : config
@@ -52,27 +45,22 @@ val backoff_schedule : config -> float list
 type t
 
 val connect : ?config:config -> (unit -> Transport.t) -> t
-(** Connect and perform the version handshake (retried like any request).
-    A terminal that rejects a v2 hello — with [err_unsupported] (a version
-    it knows it cannot speak) or [err_bad_request] (a genuine v1.1 decoder
-    choking on the v2 hello's trailing bytes) — is given one v1.1
-    short-form hello before the client gives up — the graceful downgrade
-    path (unavailable when [config.container] is set, since a v1 hello
-    cannot name a container). A busy rejection surfaces as the retryable
-    {!Error.Busy}. The connector is kept for transparent reconnects; on
-    reconnect the terminal must advertise byte-identical metadata or the
-    client refuses with a [Handshake] error. *)
+(** Connect and send one hello at {!Protocol.version} (retried like any
+    request). A busy rejection surfaces as the retryable {!Error.Busy};
+    any other refusal — an unknown container, or a terminal that does not
+    speak this version — as a [Handshake] error, with no second hello.
+    The connector is kept for transparent reconnects; on reconnect the
+    terminal must advertise byte-identical metadata or the client refuses
+    with a [Handshake] error. *)
 
 val metadata : t -> Protocol.metadata
 
 val trace_granted : t -> bool
-(** Whether the negotiated connection carries trace linkage — [false]
-    when no trace id was configured, or the terminal stripped it on the
-    downgrade ladder. *)
+(** Whether the terminal granted the configured trace id ([false] when
+    none was configured). *)
 
 val trace : t -> string
-(** The trace id this connection actually offers in its hellos — the
-    configured one, or [""] after the trace-strip rung fired. *)
+(** The trace id this connection offers in its hellos ([config.trace]). *)
 
 val stats : t -> Stats.t
 
@@ -102,13 +90,13 @@ val fetch_siblings : t -> chunk:int -> fragment:int -> string list
 (** Merkle sibling digests in {!Xmlac_crypto.Merkle.sibling_cover} order. *)
 
 val sync : t -> have_gen:int -> [ `Delta of string | `Uptodate ]
-(** Dissemination plane (XWTP v1.3): ask the terminal for what changed
+(** Dissemination plane: ask the terminal for what changed
     since generation [have_gen] of the bound container. [`Delta d] is an
     encoded chunk delta — opaque here; decode and apply it with
     [Xmlac_dissem.Delta] (or use [Mirror], which drives the whole sync
-    loop). A terminal that cannot bridge the gap (republished-from-scratch
-    lineage, or a pre-v1.3 terminal rejecting the opcode) surfaces as a
-    [Server] error; the caller falls back to a full fetch. Counted in
+    loop). A terminal that cannot bridge the gap (a lineage republished
+    from scratch) answers [err_out_of_range], surfacing as a [Server]
+    error; the caller falls back to a full fetch. Counted in
     {!Stats.t.syncs} / {!Stats.t.sync_delta_bytes}. *)
 
 val fetch_batch : t -> Protocol.request list -> Protocol.response list
@@ -116,8 +104,8 @@ val fetch_batch : t -> Protocol.request list -> Protocol.response list
     in request order. Per-item payload accounting matches the equivalent
     individual fetches exactly; [batched_requests] counts the frame. A
     per-item [Err] raises a [Server] error, a count or kind mismatch a
-    [Protocol] error. The caller must check {!Protocol.metadata.batching}
-    first and keep batches within {!Protocol.max_batch}. *)
+    [Protocol] error. The caller keeps batches within
+    {!Protocol.max_batch}. *)
 
 val close : t -> unit
 (** Best-effort [Bye], then drop the connection. Idempotent. *)

@@ -87,7 +87,7 @@ let full_fetch cl =
   let bytes = ref 0 in
   let all = List.init n Fun.id in
   let fetched =
-    if meta.Protocol.batching && n > 1 then begin
+    if n > 1 then begin
       let per = if digests then 2 else 1 in
       let group = max 1 (Protocol.max_batch / per) in
       let rec go acc = function
@@ -143,13 +143,6 @@ let refetch t =
   Refetched { to_gen = C.generation container; bytes }
 
 let sync t =
-  let refetchable code =
-    (* out-of-range: the origin cannot bridge our lineage; bad-request /
-       unsupported: a pre-v1.3 origin rejecting the Sync opcode *)
-    code = Protocol.err_out_of_range
-    || code = Protocol.err_bad_request
-    || code = Protocol.err_unsupported
-  in
   let from_gen = generation t in
   match Client.sync t.client ~have_gen:from_gen with
   | `Uptodate -> Uptodate
@@ -169,7 +162,9 @@ let sync t =
                   delta_bytes = String.length encoded;
                   revoked = d.Delta.revoked;
                 }))
-  | exception Error.Wire (Error.Server { code; _ }) when refetchable code ->
+  | exception Error.Wire (Error.Server { code; _ })
+    when code = Protocol.err_out_of_range ->
+      (* the origin cannot bridge our lineage *)
       refetch t
   | exception Error.Wire (Error.Handshake _) ->
       (* reconnect mid-sync found changed metadata: same fallback *)

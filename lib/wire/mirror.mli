@@ -26,12 +26,13 @@ type outcome =
           encoded delta size (what the wire paid), [revoked] the
           cumulative revocation list it carried *)
   | Refetched of { to_gen : int; bytes : int }
-      (** the origin could not bridge our generation (fresh lineage, or a
-          pre-v1.3 terminal): full fetch, [bytes] of chunk/digest payload *)
+      (** the origin could not bridge our generation (a lineage
+          republished from scratch): full fetch, [bytes] of chunk/digest
+          payload *)
 
 val fetch : ?config:Client.config -> (unit -> Transport.t) -> t
 (** Bootstrap a mirror by fetching the origin's container in full
-    (chunks and digests, batched when the origin advertises batching).
+    (chunks and digests, in [Batch] frames).
     The connector is kept for later {!sync}s. *)
 
 val of_container : ?config:Client.config -> (unit -> Transport.t) -> C.t -> t
@@ -53,8 +54,8 @@ val sync : t -> outcome
 (** One sync round trip: ask the origin for changes since our generation
     and advance the local copy. Falls back to a full fetch (on a fresh
     client, since the origin's metadata changed) when the origin answers
-    out-of-range, rejects the opcode, or the reconnect handshake refuses
-    the changed metadata. @raise Error.Wire on transport failure or a
+    out-of-range, or the reconnect handshake refuses the changed
+    metadata. @raise Error.Wire on transport failure or a
     structurally invalid delta. *)
 
 val stats : t -> Stats.t

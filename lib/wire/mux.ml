@@ -1,12 +1,12 @@
-(* Client side of XWTP v1.2 session multiplexing.
+(* Client side of session multiplexing.
 
    One probe hello (plain-framed) asks the terminal to switch the
-   connection to mux framing. If granted, each SOE session gets a virtual
-   transport: its writes re-frame the session's ordinary plain frames as
-   mux frames tagged with the session id, its reads reassemble plain
-   frames from demultiplexed replies. The per-session {!Client} stack is
-   reused unchanged on top — each session still performs its own hello
-   (naming its container) inside the mux stream.
+   connection to mux framing. Once granted, each SOE session gets a
+   virtual transport: its writes re-frame the session's ordinary plain
+   frames as mux frames tagged with the session id, its reads reassemble
+   plain frames from demultiplexed replies. The per-session {!Client}
+   stack is reused unchanged on top — each session still performs its own
+   hello (naming its container) inside the mux stream.
 
    Demultiplexing is leader/follower: whichever session thread needs bytes
    first becomes the leader, drops the lock, blocks in [read_mux], routes
@@ -14,10 +14,9 @@
    condition variable. No dedicated reader thread, no reply buffering
    beyond what sessions actually await.
 
-   A terminal that answers the probe without the mux flag (a v1.1
-   terminal, or a v1.2 one with mux disabled, or the in-process loopback)
-   downgrades the whole endpoint gracefully: every session then gets a
-   fresh plain connection from the underlying connector. *)
+   A probe that is refused, or answered without the mux grant (the
+   in-process loopback never grants it), fails the connect with a
+   [Handshake] error. *)
 
 type inbox = { q : string Queue.t; mutable cur : string; mutable cpos : int }
 
@@ -55,14 +54,12 @@ type conn = {
          connection carries a u64 span id after the session id *)
 }
 
-type state = Muxed of conn | Downgraded
-
 type t = {
   connector : unit -> Transport.t;
   max_payload : int;
   trace : string;  (* trace id offered by the endpoint's probe hello *)
   m : Mutex.t;
-  mutable state : state option;
+  mutable conn : conn option;  (* [None] once the endpoint is closed *)
 }
 
 let conn_make tr max_payload traced =
@@ -213,95 +210,67 @@ let session_transport (conn : conn) =
     ~local:(Transport.local conn.tr)
     ~read ~write ~close ~peer ()
 
-let rec probe ?trace (t : t) =
-  let trace = match trace with Some tr -> tr | None -> t.trace in
+let probe (t : t) =
   let tr = t.connector () in
   match
     Transport.write tr
       (Frame.encode
          (Protocol.encode_request
-            (Protocol.Hello
-               { version = Protocol.version; container = ""; mux = true; trace })));
+            (Protocol.Hello { container = ""; mux = true; trace = t.trace })));
     Protocol.decode_response (Frame.read ~max_payload:t.max_payload tr)
   with
   | Protocol.Hello_ok meta when meta.Protocol.mux ->
-      Muxed (conn_make tr t.max_payload meta.Protocol.trace)
-  | Protocol.Hello_ok _ ->
-      (* terminal spoke, but without the mux grant: downgrade *)
+      conn_make tr t.max_payload meta.Protocol.trace
+  | resp -> (
       Transport.close tr;
-      Downgraded
-  | Protocol.Err { code; message } when code = Protocol.err_busy ->
-      Transport.close tr;
-      raise (Error.Wire (Error.Busy message))
-  | Protocol.Err { code; _ }
-    when (code = Protocol.err_unsupported || code = Protocol.err_bad_request)
-         && trace <> "" ->
-      (* trace-strip rung, mirroring the client handshake ladder: a
-         pre-telemetry v1.2 terminal rejects the trace flag bit but muxes
-         fine, so re-probe without the extension before giving up mux *)
-      Transport.close tr;
-      probe ~trace:"" t
-  | Protocol.Err _ ->
-      (* e.g. a v1-only terminal rejecting the v2 hello: downgrade *)
-      Transport.close tr;
-      Downgraded
-  | resp ->
-      Transport.close tr;
-      ignore resp;
-      Error.protocolf "expected hello reply to mux probe"
+      let refuse fmt =
+        Printf.ksprintf (fun m -> raise (Error.Wire (Error.Handshake m))) fmt
+      in
+      match resp with
+      | Protocol.Err { code; message } when code = Protocol.err_busy ->
+          raise (Error.Wire (Error.Busy message))
+      | Protocol.Err { code; message } ->
+          refuse "terminal refused the mux probe (%d): %s" code message
+      | Protocol.Hello_ok _ ->
+          refuse "terminal did not grant session multiplexing"
+      | _ -> Error.protocolf "expected hello reply to mux probe")
   | exception e ->
       Transport.close tr;
       raise e
 
+(* The live connection, re-probing one that died. *)
 let ensure (t : t) =
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
-      match t.state with
-      | Some (Muxed conn) when conn.dead = None -> Muxed conn
-      | Some Downgraded -> Downgraded
-      | Some (Muxed conn) ->
-          (* previous mux connection died: replace it *)
+      match t.conn with
+      | None -> invalid_arg "Mux.session: endpoint closed"
+      | Some conn when conn.dead = None -> conn
+      | Some conn ->
           Transport.close conn.tr;
-          let s = probe t in
-          t.state <- Some s;
-          s
-      | None ->
-          let s = probe t in
-          t.state <- Some s;
-          s)
+          let fresh = probe t in
+          t.conn <- Some fresh;
+          fresh)
 
 let connect ?(max_payload = Frame.max_payload_default) ?(trace = "") connector
     =
   if String.length trace > Protocol.max_trace_id then
     invalid_arg "Mux.connect: trace id too long";
-  let t = { connector; max_payload; trace; m = Mutex.create (); state = None } in
-  ignore (ensure t : state);
+  let t = { connector; max_payload; trace; m = Mutex.create (); conn = None } in
+  t.conn <- Some (probe t);
   t
 
-let is_mux (t : t) =
-  Mutex.lock t.m;
-  let r =
-    match t.state with Some (Muxed conn) -> conn.dead = None | _ -> false
-  in
-  Mutex.unlock t.m;
-  r
-
 (* The connector per-session clients plug into [Client.connect]: every
-   call yields a fresh session on the shared mux connection (re-probing a
-   dead one), or a fresh plain connection after a downgrade. *)
-let session t () =
-  match ensure t with
-  | Muxed conn -> session_transport conn
-  | Downgraded -> t.connector ()
+   call yields a fresh session on the shared mux connection. *)
+let session t () = session_transport (ensure t)
 
 let close (t : t) =
   Mutex.lock t.m;
-  (match t.state with
-  | Some (Muxed conn) ->
+  (match t.conn with
+  | Some conn ->
       mark_dead conn "endpoint closed";
       Transport.close conn.tr
-  | _ -> ());
-  t.state <- Some Downgraded;
+  | None -> ());
+  t.conn <- None;
   Mutex.unlock t.m

@@ -1,14 +1,11 @@
-(** Client side of XWTP v1.2 session multiplexing: many SOE sessions over
-    one terminal connection.
+(** Client side of session multiplexing: many SOE sessions over one
+    terminal connection.
 
-    {!connect} probes the terminal with a mux-requesting hello. If
-    granted, {!session} yields virtual transports — one fresh session id
-    each — over the shared connection; plug them into {!Client.connect}
-    as the connector and the whole per-session client stack (handshake,
-    retry, batching, accounting) works unchanged. If the terminal answers
-    without the grant (a v1.1 terminal, or mux disabled), the endpoint
-    downgrades gracefully: {!session} then hands out fresh plain
-    connections from the underlying connector.
+    {!connect} probes the terminal with a mux-requesting hello; {!session}
+    then yields virtual transports — one fresh session id each — over the
+    shared connection. Plug them into {!Client.connect} as the connector
+    and the whole per-session client stack (handshake, retry, batching,
+    accounting) works unchanged.
 
     Demultiplexing is leader/follower among the session threads
     themselves (no dedicated reader thread); writes of distinct sessions
@@ -19,27 +16,23 @@
 type t
 
 val connect : ?max_payload:int -> ?trace:string -> (unit -> Transport.t) -> t
-(** Probe the terminal once, establishing either a mux connection or the
-    downgraded mode. Raises {!Error.Wire} like any connect would —
-    including the retryable [Busy] when the terminal is at its session
-    cap. A non-empty [trace] (at most {!Protocol.max_trace_id} bytes) is
-    offered in the probe hello; when the terminal grants it the whole
-    connection switches to traced mux framing, every frame carrying the
-    writing thread's current {!Xmlac_obs.Context} span id so the terminal
-    can parent its server spans under the client's request spans. A
-    pre-telemetry terminal that rejects the extension costs one extra
-    probe round trip and the connection proceeds untraced.
+(** Probe the terminal once. Raises {!Error.Wire} like any connect would —
+    the retryable [Busy] when the terminal is at its session cap, and
+    [Handshake] when it refuses the probe or answers it without granting
+    multiplexing (as the in-process loopback does). A non-empty [trace]
+    (at most {!Protocol.max_trace_id} bytes) is offered in the probe
+    hello; when the terminal grants it the whole connection switches to
+    traced mux framing, every frame carrying the writing thread's current
+    {!Xmlac_obs.Context} span id so the terminal can parent its server
+    spans under the client's request spans.
     @raise Invalid_argument when [trace] exceeds the cap. *)
-
-val is_mux : t -> bool
-(** Whether the endpoint currently holds a live multiplexed connection
-    ([false] after a downgrade or a connection death). *)
 
 val session : t -> unit -> Transport.t
 (** A connector for one SOE session: a fresh session id on the shared mux
-    connection (re-probing if the previous connection died), or a fresh
-    plain connection in downgraded mode. Closing the returned transport
-    retires only that session. *)
+    connection (re-probing if the previous connection died). Closing the
+    returned transport retires only that session.
+    @raise Invalid_argument once the endpoint is {!close}d. *)
 
 val close : t -> unit
-(** Tear down the shared connection (failing any open session). *)
+(** Tear down the shared connection, failing any open session. The
+    endpoint stays closed: a later {!session} raises [Invalid_argument]. *)

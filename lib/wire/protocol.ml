@@ -1,17 +1,16 @@
 module C = Xmlac_crypto.Secure_container
 
 let version = 3
-let min_version = 1
 let hello_magic = "XWTP"
 
 let max_container_id = 255
-(* decode-time cap on a v2 hello's container-id length (bounds hostile
+(* decode-time cap on a hello's container-id length (bounds hostile
    allocation; ids are short human-chosen names) *)
 
 let max_trace_id = 64
-(* cap on the trace-id extension a v2 hello may carry: trace ids are short
-   correlation tokens ("fleet-client-17"), and the u8 length field bounds
-   hostile allocation at decode time *)
+(* cap on the trace id a hello may carry: trace ids are short correlation
+   tokens ("fleet-client-17"), and the u8 length field bounds hostile
+   allocation at decode time *)
 
 let hash_state_wire_bytes = 92
 (* worst-case serialized SHA-1 mid-state (29 fixed + 63 pending); every
@@ -28,31 +27,26 @@ let max_batch = 64
    default 1 MiB frame cap for any plausible geometry *)
 
 type metadata = {
-  meta_version : int;
   scheme : C.scheme;
   chunk_size : int;
   fragment_size : int;
   payload_length : int;
   chunk_count : int;
   integrity : bool;  (* whether the scheme supports verification at all *)
-  batching : bool;  (* whether the terminal accepts Batch requests *)
-  mux : bool;  (* whether this connection multiplexes sessions (XWTP v1.2) *)
+  mux : bool;  (* whether this connection multiplexes sessions *)
   trace : bool;
       (* whether the terminal accepted the hello's trace id and will link
-         its own spans to it — granted only when the hello carried one,
-         because pre-telemetry clients reject unknown reply flag bits *)
+         its own spans to it — granted only when the hello carried one *)
   generation : int;
-      (* publication generation of the bound container (XWTP v1.3): what a
-         mirror compares its own generation against to decide whether to
-         Sync. Encoded only when [meta_version >= 3], so replies to older
-         clients keep their exact pre-dissemination shape. *)
+      (* publication generation of the bound container: what a mirror
+         compares its own generation against to decide whether to Sync *)
   key_epoch : int;
-      (* document-key epoch of the bound container (v1.3): lets an SOE
-         refuse a stale license before fetching anything *)
+      (* document-key epoch of the bound container: lets an SOE refuse a
+         stale license before fetching anything *)
 }
 
 type request =
-  | Hello of { version : int; container : string; mux : bool; trace : string }
+  | Hello of { container : string; mux : bool; trace : string }
   | Get_fragment of { chunk : int; fragment : int; lo : int; hi : int }
   | Get_chunk of { chunk : int }
   | Get_digest of { chunk : int }
@@ -119,30 +113,22 @@ let add_u64 b v =
 let rec encode_request req =
   let b = Buffer.create 16 in
   (match req with
-  | Hello { version; container; mux; trace } ->
+  | Hello { container; mux; trace } ->
+      if String.length container > max_container_id then
+        invalid_arg "Protocol: container id too long";
+      if String.length trace > max_trace_id then
+        invalid_arg "Protocol: trace id too long";
       add_u8 b 0x01;
       Buffer.add_string b hello_magic;
       add_u16 b version;
-      (* v1 hellos stop after the version — byte-identical to what an
-         XWTP v1.1 client emits; the v2 extension appends a flags byte and
-         the target container id, and the trace extension (flag bit 1)
-         appends a u8-length trace id after the container. A hello with no
-         trace id is byte-identical to a pre-telemetry v2 hello. *)
-      if version >= 2 then begin
-        if String.length container > max_container_id then
-          invalid_arg "Protocol: container id too long";
-        if String.length trace > max_trace_id then
-          invalid_arg "Protocol: trace id too long";
-        add_u8 b ((if mux then 1 else 0) lor if trace <> "" then 2 else 0);
-        add_u16 b (String.length container);
-        Buffer.add_string b container;
-        if trace <> "" then begin
-          add_u8 b (String.length trace);
-          Buffer.add_string b trace
-        end
+      (* flag bit 1: a u8-length trace id follows the container *)
+      add_u8 b ((if mux then 1 else 0) lor if trace <> "" then 2 else 0);
+      add_u16 b (String.length container);
+      Buffer.add_string b container;
+      if trace <> "" then begin
+        add_u8 b (String.length trace);
+        Buffer.add_string b trace
       end
-      else if mux || container <> "" || trace <> "" then
-        invalid_arg "Protocol: v1 hello cannot carry v2 extensions"
   | Get_fragment { chunk; fragment; lo; hi } ->
       add_u8 b 0x02;
       add_u32 b chunk;
@@ -192,26 +178,20 @@ let rec encode_response resp =
   (match resp with
   | Hello_ok m ->
       add_u8 b 0x81;
-      add_u16 b m.meta_version;
+      add_u16 b version;
       add_u8 b (scheme_code m.scheme);
       add_u32 b m.chunk_size;
       add_u32 b m.fragment_size;
       add_u64 b m.payload_length;
       add_u32 b m.chunk_count;
+      (* bit 1 once advertised Batch support, which every terminal has *)
       add_u8 b
         ((if m.integrity then 1 else 0)
-        lor (if m.batching then 2 else 0)
+        lor 2
         lor (if m.mux then 4 else 0)
         lor if m.trace then 8 else 0);
-      (* the v1.3 extension: generation and key epoch, only when the
-         negotiated version speaks them — v1/v2 replies keep their exact
-         historical shape (old decoders reject trailing bytes) *)
-      if m.meta_version >= 3 then begin
-        add_u64 b m.generation;
-        add_u16 b m.key_epoch
-      end
-      (* under a negotiated v1/v2 the fields are simply not spoken: a
-         downgraded client sees the container as an unversioned whole *)
+      add_u64 b m.generation;
+      add_u16 b m.key_epoch
   | Fragment cipher ->
       add_u8 b 0x82;
       Buffer.add_string b cipher
@@ -331,6 +311,14 @@ let finish cur what =
             (String.length cur.data - cur.pos)
             what))
 
+(* both hellos carry the version; a peer speaking another is refused *)
+let check_version cur what =
+  let v = u16 cur what in
+  if v <> version then
+    raise
+      (Bad
+         (Printf.sprintf "protocol version %d, this build speaks %d" v version))
+
 let decode payload ~what f =
   if String.length payload = 0 then Error.protocolf "empty %s" what;
   let cur = { data = payload; pos = 0 } in
@@ -361,36 +349,31 @@ let rec decode_request payload =
   | 0x01 ->
       let magic = take cur 4 "hello magic" in
       if magic <> hello_magic then raise (Bad "bad hello magic");
-      let version = u16 cur "hello version" in
-      if cur.pos = String.length cur.data then
-        (* v1 short form: nothing after the version *)
-        Hello { version; container = ""; mux = false; trace = "" }
-      else begin
-        let flags = u8 cur "hello flags" in
-        if flags land lnot 3 <> 0 then
-          raise (Bad (Printf.sprintf "unknown hello flag bits 0x%02x" flags));
-        let len = u16 cur "container id length" in
-        if len > max_container_id then
-          raise
-            (Bad
-               (Printf.sprintf "container id of %d bytes exceeds limit %d" len
-                  max_container_id));
-        let container = take cur len "container id" in
-        let trace =
-          if flags land 2 = 0 then ""
-          else begin
-            let tlen = u8 cur "trace id length" in
-            if tlen = 0 || tlen > max_trace_id then
-              raise
-                (Bad
-                   (Printf.sprintf "trace id of %d bytes outside 1..%d" tlen
-                      max_trace_id));
-            take cur tlen "trace id"
-          end
-        in
-        finish cur "hello";
-        Hello { version; container; mux = flags land 1 = 1; trace }
-      end
+      check_version cur "hello version";
+      let flags = u8 cur "hello flags" in
+      if flags land lnot 3 <> 0 then
+        raise (Bad (Printf.sprintf "unknown hello flag bits 0x%02x" flags));
+      let len = u16 cur "container id length" in
+      if len > max_container_id then
+        raise
+          (Bad
+             (Printf.sprintf "container id of %d bytes exceeds limit %d" len
+                max_container_id));
+      let container = take cur len "container id" in
+      let trace =
+        if flags land 2 = 0 then ""
+        else begin
+          let tlen = u8 cur "trace id length" in
+          if tlen = 0 || tlen > max_trace_id then
+            raise
+              (Bad
+                 (Printf.sprintf "trace id of %d bytes outside 1..%d" tlen
+                    max_trace_id));
+          take cur tlen "trace id"
+        end
+      in
+      finish cur "hello";
+      Hello { container; mux = flags land 1 = 1; trace }
   | 0x02 ->
       let chunk = u32 cur "chunk index" in
       let fragment = u16 cur "fragment index" in
@@ -451,17 +434,15 @@ let rec decode_response payload =
       finish cur "batch response";
       Batched (List.rev !subs)
   | 0x81 ->
-      let meta_version = u16 cur "metadata version" in
+      check_version cur "metadata version";
       let scheme_byte = u8 cur "scheme" in
       let chunk_size = u32 cur "chunk size" in
       let fragment_size = u32 cur "fragment size" in
       let payload_length = u64 cur "payload length" in
       let chunk_count = u32 cur "chunk count" in
       let flags = u8 cur "flags" in
-      let generation =
-        if meta_version >= 3 then u64 cur "generation" else 0
-      in
-      let key_epoch = if meta_version >= 3 then u16 cur "key epoch" else 0 in
+      let generation = u64 cur "generation" in
+      let key_epoch = u16 cur "key epoch" in
       finish cur "hello reply";
       let scheme =
         match scheme_of_code scheme_byte with
@@ -472,14 +453,12 @@ let rec decode_response payload =
         raise (Bad (Printf.sprintf "unknown flag bits 0x%02x" flags));
       Hello_ok
         {
-          meta_version;
           scheme;
           chunk_size;
           fragment_size;
           payload_length;
           chunk_count;
           integrity = flags land 1 = 1;
-          batching = flags land 2 = 2;
           mux = flags land 4 = 4;
           trace = flags land 8 = 8;
           generation;
@@ -525,14 +504,12 @@ let rec decode_response payload =
 
 let metadata_of_container container =
   {
-    meta_version = version;
     scheme = C.scheme container;
     chunk_size = C.chunk_size container;
     fragment_size = C.fragment_size container;
     payload_length = C.payload_length container;
     chunk_count = C.chunk_count container;
     integrity = C.scheme container <> C.Ecb;
-    batching = true;
     mux = false;
     trace = false;
     generation = C.generation container;
@@ -540,18 +517,8 @@ let metadata_of_container container =
   }
 
 let metadata_geometry m =
-  if m.meta_version < min_version || m.meta_version > version then
-    Error
-      (Printf.sprintf "terminal speaks protocol version %d, expected %d..%d"
-         m.meta_version min_version version)
-  else if m.mux && m.meta_version < 2 then
-    Error "terminal advertises session multiplexing under protocol version 1"
-  else if m.trace && m.meta_version < 2 then
-    Error "terminal advertises trace propagation under protocol version 1"
-  else if m.integrity <> (m.scheme <> C.Ecb) then
+  if m.integrity <> (m.scheme <> C.Ecb) then
     Error "terminal integrity flag contradicts its scheme"
-  else if (m.generation <> 0 || m.key_epoch <> 0) && m.meta_version < 3 then
-    Error "terminal advertises versioned metadata under protocol version < 3"
   else
     C.geometry ~generation:m.generation ~key_epoch:m.key_epoch ~scheme:m.scheme
       ~chunk_size:m.chunk_size ~fragment_size:m.fragment_size

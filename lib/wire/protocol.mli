@@ -15,24 +15,19 @@
 module C = Xmlac_crypto.Secure_container
 
 val version : int
-(** The newest protocol version this build speaks (3, XWTP v1.3: container
-    generation and key epoch in the hello reply, and the [Sync] delta
-    exchange — on top of v1.2's named containers and session
-    multiplexing). *)
-
-val min_version : int
-(** The oldest version still served (1). A v1 hello gets a v1-shaped
-    reply: [meta_version = 1] and no mux flag, so v1.1 peers interoperate
-    unchanged. *)
+(** The one protocol version this build speaks (3, XWTP v1.3: named
+    containers, session multiplexing, trace propagation, batching, and
+    the [Sync] delta exchange). Both hellos carry it, and both decoders
+    refuse any other. *)
 
 val hello_magic : string
 
 val max_container_id : int
-(** Decode-time cap on a v2 hello's container-id length. *)
+(** Decode-time cap on a hello's container-id length. *)
 
 val max_trace_id : int
-(** Decode-time cap on the trace-id extension a v2 hello may carry (64) —
-    trace ids are short correlation tokens, not payloads. *)
+(** Decode-time cap on the trace id a hello may carry (64) — trace ids
+    are short correlation tokens, not payloads. *)
 
 val hash_state_wire_bytes : int
 (** 92: every [Hash_state] reply is zero-padded to the worst-case serialized
@@ -46,7 +41,6 @@ val max_batch : int
 (** Cap on the number of sub-requests one [Batch] frame may carry. *)
 
 type metadata = {
-  meta_version : int;
   scheme : C.scheme;
   chunk_size : int;
   fragment_size : int;
@@ -56,46 +50,30 @@ type metadata = {
       (** whether the published scheme supports verification at all — [false]
           exactly for ECB, making the paper's silent verify-downgrade an
           explicit, visible property of the handshake *)
-  batching : bool;
-      (** whether the terminal accepts [Batch] requests (XWTP v1.1 request
-          coalescing); clients fall back to one-request-per-frame against
-          terminals that do not advertise it *)
   mux : bool;
-      (** whether this connection was switched to XWTP v1.2 session
-          multiplexing — granted only when the hello requested it and the
-          terminal supports it; [false] in every v1-shaped reply *)
+      (** whether this connection multiplexes sessions — granted when a
+          plain connection's hello requests it, and set in every reply
+          inside a multiplexed connection; never granted by the in-process
+          loopback *)
   trace : bool;
       (** whether the terminal accepted the hello's trace id and will link
           its server-side spans to it. Granted only when the hello carried
-          a trace id: pre-telemetry clients reject unknown reply flag
-          bits, so the terminal never volunteers the bit unprompted.
-          [false] in every v1-shaped reply. *)
+          a trace id. *)
   generation : int;
-      (** publication generation of the bound container (XWTP v1.3) — what
-          a mirror compares its local generation against before issuing a
-          [Sync]. On the wire only when [meta_version >= 3]; replies to
-          older clients keep their exact historical shape and this decodes
-          as 0. *)
+      (** publication generation of the bound container — what a mirror
+          compares its local generation against before issuing a [Sync] *)
   key_epoch : int;
-      (** document-key epoch of the bound container (v1.3): an SOE holding
-          a license of an older epoch can refuse before fetching anything.
-          On the wire only when [meta_version >= 3]. *)
+      (** document-key epoch of the bound container: an SOE holding a
+          license of an older epoch can refuse before fetching anything *)
 }
 
 type request =
-  | Hello of { version : int; container : string; mux : bool; trace : string }
-      (** [version <= 1] encodes the v1.1 short form (and then [container]
-          must be [""], [mux] false and [trace] [""]); [version >= 2]
-          appends a flags byte (bit 0: request mux; bit 1: trace id
-          present) and the target container id (at most
+  | Hello of { container : string; mux : bool; trace : string }
+      (** Encodes {!version}, a flags byte (bit 0: request mux; bit 1:
+          trace id present) and the target container id (at most
           {!max_container_id} bytes; [""] selects the terminal's default).
-          A non-empty [trace] (at most {!max_trace_id} bytes) is appended
-          after the container as a u8-length string and sets flag bit 1 —
-          pre-telemetry v1.2 terminals reject that bit with
-          [err_bad_request], which the client answers by retrying the same
-          version without the trace extension before considering a version
-          downgrade. The decoder accepts both forms regardless of the
-          claimed version. *)
+          A non-empty [trace] (at most {!max_trace_id} bytes) follows the
+          container as a u8-length string. *)
   | Get_fragment of { chunk : int; fragment : int; lo : int; hi : int }
       (** ciphertext bytes [\[lo, hi)] of one fragment *)
   | Get_chunk of { chunk : int }  (** whole-chunk ciphertext (CBC schemes) *)
@@ -121,12 +99,15 @@ type request =
           chunk delta, see [Xmlac_dissem.Delta]), {!Sync_uptodate} when
           [have_gen] is current, or [err_out_of_range] when the terminal
           cannot bridge the gap (the mirror then falls back to a full
-          fetch). XWTP v1.3; not batchable (a delta reply can dwarf every
-          other response kind). *)
+          fetch). Not batchable (a delta reply can dwarf every other
+          response kind). *)
   | Bye
 
 type response =
   | Hello_ok of metadata
+      (** Encodes {!version} and every metadata field. Bit 1 of its flags
+          byte once advertised [Batch] support, which every terminal now
+          has: encoders always set it and decoders ignore it. *)
   | Fragment of string
   | Chunk of string
   | Digest of string
@@ -160,18 +141,18 @@ val encode_request : request -> string
 val encode_response : response -> string
 
 val decode_request : string -> request
-(** @raise Error.Wire ([Protocol _]) on malformed input; never any other
-    exception. *)
+(** @raise Error.Wire ([Protocol _]) on malformed input, a hello of
+    another {!version} included; never any other exception. *)
 
 val decode_response : string -> response
-(** @raise Error.Wire ([Protocol _]) on malformed input; never any other
-    exception. *)
+(** @raise Error.Wire ([Protocol _]) on malformed input, a hello reply of
+    another {!version} included; never any other exception. *)
 
 val metadata_of_container : C.t -> metadata
 (** What a terminal advertises for a published container. *)
 
 val metadata_geometry : metadata -> (C.t, string) result
-(** Validate advertised metadata (protocol version, integrity-flag
-    consistency, container geometry via
+(** Validate advertised metadata (integrity-flag consistency, container
+    geometry via
     {!Xmlac_crypto.Secure_container.geometry}) and build the header-only
     container view the SOE decrypts against. *)

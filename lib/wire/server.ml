@@ -35,8 +35,6 @@ type t = {
      mirrors trailing by the same generation hits one computation *)
   delta_cache : (string * int * int, string) Lru.t;
   delta_mutex : Mutex.t;
-  totals : Stats.t;
-  totals_mutex : Mutex.t;
   telemetry : Telemetry.t;
 }
 
@@ -55,8 +53,6 @@ let create ?(cache_capacity = default_cache_capacity) () =
     delta_cache =
       Lru.create ~capacity:delta_cache_capacity ~stats:(Lru.fresh_stats ());
     delta_mutex = Mutex.create ();
-    totals = Stats.make ();
-    totals_mutex = Mutex.create ();
     telemetry = Telemetry.create ();
   }
 
@@ -140,15 +136,6 @@ let metadata t =
 
 let metadata_of t id = Option.map (fun e -> e.meta) (find_entry t id)
 
-let totals t =
-  with_lock t.totals_mutex @@ fun () ->
-  let snapshot = Stats.make () in
-  Stats.add ~into:snapshot t.totals;
-  snapshot
-
-let merge_stats t stats =
-  with_lock t.totals_mutex @@ fun () -> Stats.add ~into:t.totals stats
-
 let cache_stats t =
   with_lock t.cache_mutex @@ fun () ->
   {
@@ -171,46 +158,37 @@ let be_bytes value width =
   String.init width (fun i ->
       Char.chr ((value lsr (8 * (width - 1 - i))) land 0xFF))
 
-(* Per-chunk fragment leaf hashes through the shared registry cache, with
-   per-session attribution into [stats] (the registry-level [cache_stats]
-   totals ride on the LRU itself). *)
-let leaves ?stats t e chunk =
-  let attribute hit =
-    (* linked to the enclosing server.request span via the ambient
-       context; free (one ref read) when tracing is off *)
-    Xmlac_obs.Span.event "server.cache"
-      [
-        ("container", Xmlac_obs.Json.String e.e_id);
-        ("chunk", Xmlac_obs.Json.Int chunk);
-        ("hit", Xmlac_obs.Json.Bool hit);
-      ];
-    match stats with
-    | None -> ()
-    | Some (s : Stats.t) ->
-        if hit then s.cache_hits <- s.cache_hits + 1
-        else s.cache_misses <- s.cache_misses + 1
+(* Per-chunk fragment leaf hashes through the shared registry cache, and
+   whether the cache already held them — the caller attributes the hit or
+   miss to its tenant (the registry-level [cache_stats] totals ride on the
+   LRU itself). *)
+let leaves t e chunk =
+  let key = (e.gen, chunk, C.chunk_version e.container chunk) in
+  let l, hit =
+    with_lock t.cache_mutex @@ fun () ->
+    match Lru.find t.leaves_cache key with
+    | Some l -> (l, true)
+    | None ->
+        let m = C.fragments_per_chunk e.container in
+        let cipher = C.chunk_ciphertext e.container chunk in
+        let fsize = C.fragment_size e.container in
+        let l =
+          Array.init m (fun i ->
+              C.fragment_leaf_hash_sub e.container ~chunk ~fragment:i ~cipher
+                ~pos:(i * fsize) ~len:fsize)
+        in
+        Lru.insert t.leaves_cache key l;
+        (l, false)
   in
-  with_lock t.cache_mutex @@ fun () ->
-  match
-    Lru.find t.leaves_cache (e.gen, chunk, C.chunk_version e.container chunk)
-  with
-  | Some l ->
-      attribute true;
-      l
-  | None ->
-      let m = C.fragments_per_chunk e.container in
-      let cipher = C.chunk_ciphertext e.container chunk in
-      let fsize = C.fragment_size e.container in
-      let l =
-        Array.init m (fun i ->
-            C.fragment_leaf_hash_sub e.container ~chunk ~fragment:i ~cipher
-              ~pos:(i * fsize) ~len:fsize)
-      in
-      Lru.insert t.leaves_cache
-        (e.gen, chunk, C.chunk_version e.container chunk)
-        l;
-      attribute false;
-      l
+  (* linked to the enclosing server.request span via the ambient context;
+     free (one ref read) when tracing is off *)
+  Xmlac_obs.Span.event "server.cache"
+    [
+      ("container", Xmlac_obs.Json.String e.e_id);
+      ("chunk", Xmlac_obs.Json.Int chunk);
+      ("hit", Xmlac_obs.Json.Bool hit);
+    ];
+  (l, hit)
 
 let err code fmt =
   Printf.ksprintf (fun message -> Protocol.Err { code; message }) fmt
@@ -232,36 +210,23 @@ let delta_for t e ~from_gen =
       Lru.insert t.delta_cache key d;
       d
 
-(* Negotiated hello reply: the caller passes its current [binding] (the
-   session's container, [None] before any successful hello on a fresh
-   registry) and whether mux and trace linkage are being granted. [""]
-   selects the binding, falling back to the registry default. Returns the
-   resolved entry so the caller can rebind. [grant_trace] must be true
-   only when the hello itself carried a trace id — clients that never
-   asked reject the unknown reply flag bit. *)
-let hello_reply t ~binding ~version ~container ~grant_mux ~grant_trace =
-  if version < Protocol.min_version || version > Protocol.version then
-    (None, err Protocol.err_unsupported "unsupported protocol version %d" version)
-  else
-    let resolved =
+(* The hello reply: [container] ("" selects the session's [binding],
+   falling back to the registry default) resolved to an entry, or a
+   refusal. Returns the entry so the caller can rebind. *)
+let hello_reply t ~binding ~container ~grant_mux ~grant_trace =
+  let resolved =
+    if container = "" then
+      match binding with Some _ -> binding | None -> default_entry t
+    else find_entry t container
+  in
+  match resolved with
+  | None ->
       if container = "" then
-        match binding with Some _ -> binding | None -> default_entry t
-      else find_entry t container
-    in
-    match resolved with
-    | None ->
-        if container = "" then
-          (None, err Protocol.err_unsupported "no container published")
-        else (None, err Protocol.err_bad_request "unknown container %S" container)
-    | Some e ->
-        ( Some e,
-          Protocol.Hello_ok
-            {
-              e.meta with
-              Protocol.meta_version = min version Protocol.version;
-              mux = grant_mux;
-              trace = grant_trace;
-            } )
+        (None, err Protocol.err_unsupported "no container published")
+      else (None, err Protocol.err_bad_request "unknown container %S" container)
+  | Some e ->
+      ( Some e,
+        Protocol.Hello_ok { e.meta with mux = grant_mux; trace = grant_trace } )
 
 let check_chunk e chunk k =
   if chunk >= C.chunk_count e.container then
@@ -277,19 +242,16 @@ let check_fragment e chunk fragment k =
       (C.fragments_per_chunk e.container)
   else k ()
 
-(* One decoded request -> one response, against one bound container. Total
-   by construction for in-range requests; the catch-all in [handle] turns
+(* One request's share of the shared leaf-hash cache, for its tenant. *)
+type tally = { mutable hits : int; mutable misses : int }
+
+(* One decoded data request -> one response, against one bound container.
+   Total by construction for in-range requests; [serve_data] turns
    anything unexpected into an [Err] so a hostile request can never kill
    the session thread. *)
-let rec handle_request ?stats t e req =
+let rec handle_request t e tally req =
   let scheme = C.scheme e.container in
   match (req : Protocol.request) with
-  | Hello { version; container; mux = _; trace = _ } ->
-      (* plain-path hello: rebinding and mux/trace granting are connection
-         state, handled by the serving loops; here we just answer *)
-      snd
-        (hello_reply t ~binding:(Some e) ~version ~container ~grant_mux:false
-           ~grant_trace:false)
   | Get_fragment { chunk; fragment; lo; hi } -> (
       match scheme with
       | C.Cbc_sha | C.Cbc_shac | C.Aes_ctr ->
@@ -349,7 +311,9 @@ let rec handle_request ?stats t e req =
             ~leaf_count:(C.fragments_per_chunk e.container)
             ~lo:fragment ~hi:fragment
         in
-        let l = leaves ?stats t e chunk in
+        let l, hit = leaves t e chunk in
+        if hit then tally.hits <- tally.hits + 1
+        else tally.misses <- tally.misses + 1;
         Protocol.Siblings (List.map (Merkle.node_hash l) cover)
   | Batch subs ->
       (* one reply per sub-request, in order; a failing sub becomes its
@@ -357,16 +321,12 @@ let rec handle_request ?stats t e req =
       Protocol.Batched
         (List.map
            (fun sub ->
-             match handle_request ?stats t e sub with
+             match handle_request t e tally sub with
              | resp -> resp
              | exception e ->
                  err Protocol.err_internal "terminal failure: %s"
                    (Printexc.to_string e))
            subs)
-  | Get_stats ->
-      (* only the serving loops answer this, and only on local
-         transports; reaching it through any other path is a refusal *)
-      err Protocol.err_unsupported "stats are served only on local transports"
   | Sync { have_gen } ->
       (* answered against the id's CURRENT registry entry, not the
          session's bound snapshot: data requests keep serving the
@@ -395,32 +355,9 @@ let rec handle_request ?stats t e req =
           ~bytes:(String.length d);
         Protocol.Sync_delta d
       end
-  | Bye -> Protocol.Bye_ok
-
-let no_container = err Protocol.err_unsupported "no container published"
-
-let handle_bound ?stats t binding req =
-  match (req : Protocol.request) with
-  | Hello _ | Bye -> assert false (* serving loops intercept these *)
-  | _ -> (
-      match binding with
-      | None -> no_container
-      | Some e -> (
-          match handle_request ?stats t e req with
-          | resp -> resp
-          | exception e ->
-              err Protocol.err_internal "terminal failure: %s"
-                (Printexc.to_string e)))
-
-let handle t req =
-  match (req : Protocol.request) with
-  | Protocol.Bye -> (Protocol.Bye_ok, true)
-  | Protocol.Hello { version; container; mux = _; trace = _ } ->
-      ( snd
-          (hello_reply t ~binding:None ~version ~container ~grant_mux:false
-             ~grant_trace:false),
-        false )
-  | req -> (handle_bound t (default_entry t) req, false)
+  | Hello _ | Bye | Get_stats ->
+      (* [serve_frame] answers these itself, and no batch carries them *)
+      err Protocol.err_bad_request "not a data request"
 
 (* {2 Per-request tracing and telemetry} *)
 
@@ -475,24 +412,71 @@ let with_server_span ~trace ~client_span ~sid ~kind f =
       f
   end
 
+(* {2 Sessions}
+
+   Every path that serves requests — a plain connection, each session id
+   of a mux connection, the in-process loopback — keeps a [session] per
+   SOE session and hands each request frame to [serve_frame]. *)
+
+type session = {
+  mutable bound : entry option;  (* container of the last successful hello *)
+  mutable trace : string;  (* trace id its server spans link to; "" = none *)
+}
+
+type framing =
+  | Plain  (* one session; a hello asking for mux switches to [Muxed] *)
+  | Muxed of { traced : bool }
+      (* every frame carries a session id, and a span id when [traced] *)
+  | Loopback  (* in-process and plain for good: mux is never granted *)
+
+type conn = {
+  srv : t;
+  tel : Telemetry.acc;
+  local : bool;  (* the peer is provably local: the admin plane answers *)
+  mutable framing : framing;
+  plain : session;  (* the plain-framed session; mux sessions start from it *)
+  sessions : (int, session) Hashtbl.t;  (* open mux sessions by id *)
+  max_mux_sessions : int;
+}
+
+let max_mux_sessions_default = 256
+
+let make_conn ?(max_mux_sessions = max_mux_sessions_default) t ~local framing =
+  {
+    srv = t;
+    tel = Telemetry.acc t.telemetry;
+    local;
+    framing;
+    plain = { bound = default_entry t; trace = "" };
+    sessions = Hashtbl.create 8;
+    max_mux_sessions;
+  }
+
 (* One data request end to end: handle under a server span, encode, and
-   attribute outcome / reply bytes / shared-cache delta / service wall
-   time to the bound tenant. *)
-let serve_data ~stats ~tel ~trace ~client_span ~sid t binding req =
-  let h0 = stats.Stats.cache_hits and m0 = stats.Stats.cache_misses in
+   attribute outcome / reply bytes / shared-cache use / service wall time
+   to the bound tenant. *)
+let serve_data c s ~sid ~client_span req =
   let t0 = Xmlac_obs.Span.now () in
+  let tally = { hits = 0; misses = 0 } in
   let resp =
-    with_server_span ~trace ~client_span ~sid ~kind:(request_kind req)
-      (fun () -> handle_bound ~stats t binding req)
+    with_server_span ~trace:s.trace ~client_span ~sid ~kind:(request_kind req)
+      (fun () ->
+        match s.bound with
+        | None -> err Protocol.err_unsupported "no container published"
+        | Some e -> (
+            match handle_request c.srv e tally req with
+            | resp -> resp
+            | exception e ->
+                err Protocol.err_internal "terminal failure: %s"
+                  (Printexc.to_string e)))
   in
   let encoded = Protocol.encode_response resp in
-  (match binding with
+  (match s.bound with
   | Some e ->
-      Telemetry.record tel ~tenant:e.e_id
+      Telemetry.record c.tel ~tenant:e.e_id
         ~ok:(match resp with Protocol.Err _ -> false | _ -> true)
-        ~reply_bytes:(String.length encoded)
-        ~cache_hits:(stats.Stats.cache_hits - h0)
-        ~cache_misses:(stats.Stats.cache_misses - m0)
+        ~reply_bytes:(String.length encoded) ~cache_hits:tally.hits
+        ~cache_misses:tally.misses
         ~service_s:(Float.max 0. (Xmlac_obs.Span.now () -. t0))
   | None -> ());
   encoded
@@ -500,272 +484,144 @@ let serve_data ~stats ~tel ~trace ~client_span ~sid t binding req =
 (* The admin-plane reply: a telemetry snapshot, only ever for a provably
    local peer. The asking connection flushes its own accumulator first so
    the snapshot covers its traffic too. *)
-let stats_reply ~local ~tel t =
-  if not local then
+let stats_reply c =
+  if not c.local then
     err Protocol.err_unsupported "stats are served only on local transports"
   else begin
-    Telemetry.flush tel;
-    Protocol.Stats_reply (Telemetry.to_string (telemetry_snapshot t))
+    Telemetry.flush c.tel;
+    Protocol.Stats_reply (Telemetry.to_string (telemetry_snapshot c.srv))
   end
 
-(* One raw frame payload -> one encoded reply, with connection-scoped
-   container binding threaded through [binding]. Total: decode failures
-   become [Err] replies, so the fuzz boundary can assert that no byte
-   string whatsoever raises out of here. [tel] enables per-tenant
-   telemetry attribution; [local] gates the admin-plane [Get_stats];
-   [conn_trace], when given, holds the connection's negotiated trace id
-   and enables the trace grant — the loopback serves synchronously on the
-   caller's thread, so the ambient context already carries the client's
-   open [wire.request] span and linkage costs nothing. *)
-let handle_frame_bound ?stats ?tel ?(local = false) ?conn_trace t binding
-    payload =
+(* The one serving dispatch: a raw request payload of session [sid] (0 on
+   plain framing) -> the encoded reply, and whether the connection should
+   close. Total: decode failures become [Err] replies, so the fuzz
+   boundary can assert that no byte string whatsoever raises out of
+   here. [client_span] is the client's request span the server span
+   names as parent (0 = none). *)
+let serve_frame c ~sid ~client_span payload =
+  let t = c.srv in
+  let s =
+    match Hashtbl.find_opt c.sessions sid with Some s -> s | None -> c.plain
+  in
+  let reply resp = (Protocol.encode_response resp, false) in
   match Protocol.decode_request payload with
-  | Protocol.Bye -> (Protocol.encode_response Protocol.Bye_ok, true)
-  | Protocol.Hello { version; container; mux = _; trace } ->
-      let grant_trace = conn_trace <> None && trace <> "" && version >= 2 in
-      let resolved, resp =
-        hello_reply t ~binding:!binding ~version ~container ~grant_mux:false
-          ~grant_trace
+  | Protocol.Hello { container; mux; trace } ->
+      let fresh =
+        match c.framing with
+        | Muxed _ -> not (Hashtbl.mem c.sessions sid)
+        | Plain | Loopback -> false
       in
-      (match resolved with
-      | Some e ->
-          binding := Some e;
-          (match conn_trace with
-          | Some r -> r := (if grant_trace then trace else "")
-          | None -> ());
-          (match tel with
-          | Some a -> Telemetry.session a ~tenant:e.e_id ~generation:e.gen
-          | None -> ())
-      | None -> ());
-      (Protocol.encode_response resp, false)
-  | Protocol.Get_stats -> (
-      match tel with
-      | Some a -> (Protocol.encode_response (stats_reply ~local ~tel:a t), false)
-      | None ->
-          ( Protocol.encode_response
-              (err Protocol.err_unsupported
-                 "stats are served only on local transports"),
-            false ))
-  | req -> (
-      match tel with
-      | Some a ->
-          let trace = match conn_trace with Some r -> !r | None -> "" in
-          let client_span =
-            if trace = "" then 0
-            else
-              match Xmlac_obs.Context.current_span () with
-              | Some s -> s
-              | None -> 0
-          in
-          (serve_data ~stats:(Option.value stats ~default:(Stats.make ()))
-             ~tel:a ~trace ~client_span ~sid:0 t !binding req,
-           false)
-      | None ->
-          (Protocol.encode_response (handle_bound ?stats t !binding req), false))
+      if fresh && Hashtbl.length c.sessions >= c.max_mux_sessions then begin
+        Telemetry.busy_rejected t.telemetry;
+        reply
+          (err Protocol.err_busy "connection at its session cap (%d)"
+             c.max_mux_sessions)
+      end
+      else begin
+        (* a plain connection gets the mux grant it asks for; inside a mux
+           connection every reply carries it; the loopback never switches.
+           A trace id is linkable unless the mux framing carries no span
+           ids. *)
+        let grant_mux, grant_trace =
+          match c.framing with
+          | Plain -> (mux, trace <> "")
+          | Muxed { traced } -> (true, traced && trace <> "")
+          | Loopback -> (false, trace <> "")
+        in
+        let resolved, resp =
+          hello_reply t ~binding:s.bound ~container ~grant_mux ~grant_trace
+        in
+        (match resolved with
+        | Some e ->
+            let s =
+              if not fresh then s
+              else begin
+                Telemetry.mux_opened t.telemetry;
+                let fresh_s = { s with bound = None } in
+                Hashtbl.replace c.sessions sid fresh_s;
+                fresh_s
+              end
+            in
+            s.bound <- Some e;
+            if grant_trace then s.trace <- trace;
+            Telemetry.session c.tel ~tenant:e.e_id ~generation:e.gen;
+            if grant_mux && c.framing = Plain then
+              c.framing <- Muxed { traced = s.trace <> "" }
+        | None -> ());
+        reply resp
+      end
+  | Protocol.Bye -> (
+      match c.framing with
+      | Muxed _ ->
+          (* retires just this session; the connection stays up *)
+          if Hashtbl.mem c.sessions sid then begin
+            Telemetry.mux_retired t.telemetry;
+            Hashtbl.remove c.sessions sid
+          end;
+          reply Protocol.Bye_ok
+      | Plain | Loopback -> (Protocol.encode_response Protocol.Bye_ok, true))
+  | Protocol.Get_stats -> reply (stats_reply c)
+  | req -> (serve_data c s ~sid ~client_span req, false)
   | exception Error.Wire e ->
-      ( Protocol.encode_response
-          (Protocol.Err
-             { code = Protocol.err_bad_request; message = Error.to_string e }),
-        false )
+      reply
+        (Protocol.Err
+           { code = Protocol.err_bad_request; message = Error.to_string e })
 
-let handle_frame t payload = handle_frame_bound t (ref (default_entry t)) payload
+let handle_frame t payload =
+  serve_frame (make_conn t ~local:false Loopback) ~sid:0 ~client_span:0 payload
 
 (* {2 Serving loops} *)
 
-let max_mux_sessions_default = 256
-
-(* Multiplexed phase of a connection: every frame carries a session id;
-   each session binds its own container with its own hello, [Bye] retires
-   just that session, and the connection ends only when the peer goes
-   away. Frames of one connection are served in arrival order — fleet
-   concurrency comes from many connections, each a thread.
-
-   When the probe hello negotiated trace propagation, every frame also
-   carries a u64 span id ([traced]); replies echo the request's span, and
-   each mux session's own hello may rebind the session to its own trace
-   id (many tenants' sessions share one endpoint connection), tracked in
-   [traces]. *)
-let serve_mux t transport ~stats ~tel ~conn_binding ~conn_trace ~traced
-    ~max_mux_sessions =
-  let bindings : (int, entry) Hashtbl.t = Hashtbl.create 8 in
-  let traces : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  let prefix_bytes =
-    Frame.header_bytes + Frame.mux_overhead
-    + if traced then Frame.span_overhead else 0
+(* One connection to completion. Frames of one connection are served in
+   arrival order — fleet concurrency comes from many connections, each a
+   thread. Once a hello switched it to mux framing, every frame carries a
+   session id (and, traced, the client's span id, echoed in the reply);
+   [Bye] then retires one session and the connection ends only when the
+   peer goes away. *)
+let serve_connection ?max_mux_sessions t transport =
+  let c =
+    make_conn ?max_mux_sessions t ~local:(Transport.local transport) Plain
   in
-  let send_raw ~sid ~span encoded =
-    let framed =
-      Frame.encode_mux ~sid ?span:(if traced then Some span else None) encoded
-    in
-    Transport.write transport framed;
-    stats.Stats.replies <- stats.Stats.replies + 1;
-    stats.Stats.bytes_sent <- stats.Stats.bytes_sent + String.length framed
-  in
-  let send ~sid ~span resp = send_raw ~sid ~span (Protocol.encode_response resp) in
-  let rec loop () =
-    match
-      Frame.read_mux ~max_payload:Frame.max_request_payload ~traced transport
-    with
-    | sid, span, payload ->
-        stats.Stats.requests <- stats.Stats.requests + 1;
-        stats.Stats.bytes_received <-
-          stats.Stats.bytes_received + prefix_bytes + String.length payload;
-        (match Protocol.decode_request payload with
-        | Protocol.Hello { version; container; mux = _; trace } ->
-            if
-              (not (Hashtbl.mem bindings sid))
-              && Hashtbl.length bindings >= max_mux_sessions
-            then begin
-              stats.Stats.busy_rejections <- stats.Stats.busy_rejections + 1;
-              Telemetry.busy_rejected t.telemetry;
-              send ~sid ~span
-                (err Protocol.err_busy "connection at its session cap (%d)"
-                   max_mux_sessions)
-            end
-            else begin
-              let resolved, resp =
-                hello_reply t ~binding:conn_binding ~version ~container
-                  ~grant_mux:true ~grant_trace:(traced && trace <> "")
-              in
-              (match resolved with
-              | Some e ->
-                  if not (Hashtbl.mem bindings sid) then begin
-                    stats.Stats.mux_sessions <- stats.Stats.mux_sessions + 1;
-                    Telemetry.mux_opened t.telemetry
-                  end;
-                  Hashtbl.replace bindings sid e;
-                  Telemetry.session tel ~tenant:e.e_id ~generation:e.gen;
-                  if traced && trace <> "" then
-                    Hashtbl.replace traces sid trace
-              | None -> ());
-              send ~sid ~span resp
-            end
-        | Protocol.Bye ->
-            if Hashtbl.mem bindings sid then Telemetry.mux_retired t.telemetry;
-            Hashtbl.remove bindings sid;
-            Hashtbl.remove traces sid;
-            send ~sid ~span Protocol.Bye_ok
-        | Protocol.Get_stats ->
-            send ~sid ~span (stats_reply ~local:(Transport.local transport) ~tel t)
-        | req ->
-            let binding =
-              match Hashtbl.find_opt bindings sid with
-              | Some e -> Some e
-              | None -> conn_binding
-            in
-            let trace =
-              match Hashtbl.find_opt traces sid with
-              | Some tr -> tr
-              | None -> conn_trace
-            in
-            send_raw ~sid ~span
-              (serve_data ~stats ~tel ~trace ~client_span:span ~sid t binding
-                 req)
-        | exception Error.Wire e ->
-            send ~sid ~span
-              (Protocol.Err
-                 { code = Protocol.err_bad_request; message = Error.to_string e }));
-        loop ()
-    | exception Error.Wire (Error.Transport _) ->
-        (* peer closed or timed out: normal end of connection *)
-        ()
-    | exception Error.Wire _ ->
-        stats.Stats.wire_errors <- stats.Stats.wire_errors + 1
-  in
-  loop ()
-
-let serve_connection ?(mux = true) ?(max_mux_sessions = max_mux_sessions_default)
-    t transport =
-  let stats = Stats.make () in
-  let tel = Telemetry.acc t.telemetry in
   Telemetry.connection_admitted t.telemetry;
-  let binding = ref (default_entry t) in
-  (* the connection's negotiated trace id: set by the last successful
-     hello that carried one, "" otherwise *)
-  let conn_trace = ref "" in
-  let rec plain_loop () =
-    match Frame.read ~max_payload:Frame.max_request_payload transport with
-    | payload -> (
-        stats.Stats.requests <- stats.Stats.requests + 1;
-        stats.Stats.bytes_received <-
-          stats.Stats.bytes_received + Frame.header_bytes + String.length payload;
-        (* a v2 hello requesting mux switches the connection over — the
-           grant travels in the (still plain) hello reply *)
-        let granted = ref false in
-        let reply, closing =
-          match Protocol.decode_request payload with
-          | Protocol.Hello { version; container; mux = want_mux; trace } ->
-              let grant = mux && want_mux && version >= 2 in
-              let grant_trace = trace <> "" && version >= 2 in
-              let resolved, resp =
-                hello_reply t ~binding:!binding ~version ~container
-                  ~grant_mux:grant ~grant_trace
-              in
-              (match resolved with
-              | Some e ->
-                  binding := Some e;
-                  granted := grant;
-                  conn_trace := (if grant_trace then trace else "");
-                  Telemetry.session tel ~tenant:e.e_id ~generation:e.gen
-              | None -> ());
-              (Protocol.encode_response resp, false)
-          | Protocol.Bye -> (Protocol.encode_response Protocol.Bye_ok, true)
-          | Protocol.Get_stats ->
-              ( Protocol.encode_response
-                  (stats_reply ~local:(Transport.local transport) ~tel t),
-                false )
-          | req ->
-              ( serve_data ~stats ~tel ~trace:!conn_trace ~client_span:0 ~sid:0
-                  t !binding req,
-                false )
-          | exception Error.Wire e ->
-              ( Protocol.encode_response
-                  (Protocol.Err
-                     {
-                       code = Protocol.err_bad_request;
-                       message = Error.to_string e;
-                     }),
-                false )
+  let max_payload = Frame.max_request_payload in
+  let rec loop () =
+    match c.framing with
+    | Muxed { traced } ->
+        let sid, span, payload =
+          Frame.read_mux ~max_payload ~traced transport
         in
-        let framed = Frame.encode reply in
-        Transport.write transport framed;
-        stats.Stats.replies <- stats.Stats.replies + 1;
-        stats.Stats.bytes_sent <- stats.Stats.bytes_sent + String.length framed;
-        if !granted then
-          serve_mux t transport ~stats ~tel ~conn_binding:!binding
-            ~conn_trace:!conn_trace ~traced:(!conn_trace <> "")
-            ~max_mux_sessions
-        else if not closing then plain_loop ())
-    | exception Error.Wire (Error.Transport _) ->
-        (* peer closed or timed out: normal end of session *)
-        ()
-    | exception Error.Wire _ ->
-        stats.Stats.wire_errors <- stats.Stats.wire_errors + 1
+        let reply, _ = serve_frame c ~sid ~client_span:span payload in
+        let span = if traced then Some span else None in
+        Transport.write transport (Frame.encode_mux ~sid ?span reply);
+        loop ()
+    | Plain | Loopback ->
+        let payload = Frame.read ~max_payload transport in
+        (* the reply to a hello granting mux still travels plain-framed *)
+        let reply, closing = serve_frame c ~sid:0 ~client_span:0 payload in
+        Transport.write transport (Frame.encode reply);
+        if not closing then loop ()
   in
-  (try plain_loop () with _ -> ());
+  (* a peer that goes away, times out or breaks framing ends the
+     connection *)
+  (try loop () with _ -> ());
   Transport.close transport;
-  Telemetry.flush tel;
-  Telemetry.connection_closed t.telemetry;
-  merge_stats t stats
+  Telemetry.flush c.tel;
+  Telemetry.connection_closed t.telemetry
 
 (* In-process terminal: requests are served synchronously inside the
    client's write, replies drain from a per-connection outbox. Hermetic —
    no sockets, no threads required — yet it exercises the full encode /
-   frame / decode path on both sides. Plain-framed only: a hello asking
-   for mux is answered with [mux = false], which well-behaved clients
-   treat as a graceful downgrade. Traces are granted: the server work runs
-   inside the client's open [wire.request] span, so server.request spans
-   link to it straight from the ambient context. *)
+   frame / decode path on both sides. Plain-framed for good: a hello
+   asking for mux is answered with [mux = false]. Traces are granted: the
+   server work runs inside the client's open [wire.request] span, so
+   server.request spans link to it straight from the ambient context. *)
 let loopback_connector t () =
   let outbox = ref "" in
   let opos = ref 0 in
   let finished = ref false in
-  let stats = Stats.make () in
-  let tel = Telemetry.acc t.telemetry in
+  let c = make_conn t ~local:true Loopback in
   Telemetry.connection_admitted t.telemetry;
   let closed = ref false in
-  let binding = ref (default_entry t) in
-  let conn_trace = ref "" in
   let append s =
     outbox := String.sub !outbox !opos (String.length !outbox - !opos) ^ s;
     opos := 0
@@ -779,23 +635,16 @@ let loopback_connector t () =
             Frame.split ~max_payload:Frame.max_request_payload data ~off:!off
           in
           off := next;
-          stats.Stats.requests <- stats.Stats.requests + 1;
-          stats.Stats.bytes_received <-
-            stats.Stats.bytes_received + Frame.header_bytes
-            + String.length payload;
-          let reply, closing =
-            handle_frame_bound ~stats ~tel ~local:true ~conn_trace t binding
-              payload
+          let client_span =
+            if c.plain.trace = "" then 0
+            else Option.value (Xmlac_obs.Context.current_span ()) ~default:0
           in
-          let framed = Frame.encode reply in
-          append framed;
-          stats.Stats.replies <- stats.Stats.replies + 1;
-          stats.Stats.bytes_sent <- stats.Stats.bytes_sent + String.length framed;
+          let reply, closing = serve_frame c ~sid:0 ~client_span payload in
+          append (Frame.encode reply);
           if closing then finished := true
         done
       with Error.Wire _ ->
         (* a client that cannot even frame its request gets cut off *)
-        stats.Stats.wire_errors <- stats.Stats.wire_errors + 1;
         finished := true
     end
   in
@@ -812,9 +661,8 @@ let loopback_connector t () =
   let close () =
     if not !closed then begin
       closed := true;
-      Telemetry.flush tel;
-      Telemetry.connection_closed t.telemetry;
-      merge_stats t stats
+      Telemetry.flush c.tel;
+      Telemetry.connection_closed t.telemetry
     end
   in
   (* in-process by construction, so the admin plane is reachable *)
@@ -826,8 +674,6 @@ let loopback_connector t () =
    rejection runs on its own thread so a slow-to-speak rejected peer
    cannot stall the acceptor. *)
 let reject_busy t ~max_sessions transport =
-  let stats = Stats.make () in
-  stats.Stats.busy_rejections <- 1;
   Telemetry.busy_rejected t.telemetry;
   (try
      let _ : string =
@@ -839,11 +685,9 @@ let reject_busy t ~max_sessions transport =
      in
      Transport.write transport (Frame.encode reply)
    with _ -> ());
-  Transport.close transport;
-  merge_stats t stats
+  Transport.close transport
 
-let serve ?(max_sessions = 64) ?(mux = true) ?(domains = 1) ?timeout_s ?stop t
-    listener =
+let serve ?(max_sessions = 64) ?(domains = 1) ?timeout_s ?stop t listener =
   let stopped () = match stop with Some r -> !r | None -> false in
   let active = ref 0 in
   let rejecting = ref 0 in
@@ -867,7 +711,7 @@ let serve ?(max_sessions = 64) ?(mux = true) ?(domains = 1) ?timeout_s ?stop t
     let admitted = !active < max_sessions in
     if admitted then incr active else incr rejecting;
     Mutex.unlock m;
-    if admitted then spawn active (serve_connection ~mux t) transport
+    if admitted then spawn active (serve_connection t) transport
     else spawn rejecting (reject_busy t ~max_sessions) transport
   in
   let accept_blocking () =

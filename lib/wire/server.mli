@@ -5,12 +5,12 @@
     secrecy.
 
     Sessions address a container by id in their hello ([""] selects the
-    default: the first-ever publication). A v2 hello may also request XWTP
-    v1.2 session multiplexing, switching the connection to session-id
-    framing so many SOE sessions share one socket. Per-chunk fragment leaf
-    hashes live in one bounded registry-level LRU shared across every
-    session of every container, with per-session hit/miss attribution in
-    that session's {!Stats}.
+    default: the first-ever publication). A hello may also request session
+    multiplexing, switching the connection to session-id framing so many
+    SOE sessions share one socket. Per-chunk fragment leaf hashes live in
+    one bounded registry-level LRU shared across every session of every
+    container, with per-tenant hit/miss attribution in {!telemetry} — the
+    terminal's only accounting.
 
     Request handling is {e total}: malformed frames and out-of-range or
     scheme-inappropriate requests produce [Err] replies (or end the
@@ -66,10 +66,6 @@ val metadata : t -> Protocol.metadata
 
 val metadata_of : t -> string -> Protocol.metadata option
 
-val totals : t -> Stats.t
-(** Snapshot of the merged per-connection stats of all finished sessions
-    (plus admission rejections). *)
-
 val cache_stats : t -> Xmlac_runtime.Lru.stats
 (** Snapshot of the registry-level shared leaf-hash cache counters. *)
 
@@ -82,39 +78,36 @@ val telemetry_snapshot : t -> Telemetry.view
     published-container count — exactly what a [Get_stats] frame
     returns. *)
 
-val handle : t -> Protocol.request -> Protocol.response * bool
-(** Serve one decoded request against the default container; the flag is
-    [true] when the session should close (after [Bye]). Never raises. *)
-
 val handle_frame : t -> string -> string * bool
-(** Serve one raw frame payload (hostile bytes allowed): decode, handle,
-    encode. Never raises — undecodable requests get an [Err] reply. *)
+(** Serve one raw frame payload (hostile bytes allowed) on a fresh
+    in-process session bound to the default container: decode, handle,
+    encode. The flag is [true] when the session should close (after
+    [Bye]). Never raises — undecodable requests, a hello of another
+    protocol version included, get an [Err] reply. *)
 
-val serve_connection : ?mux:bool -> ?max_mux_sessions:int -> t -> Transport.t -> unit
+val serve_connection : ?max_mux_sessions:int -> t -> Transport.t -> unit
 (** Run one connection to completion: read frames, reply, stop on [Bye]
-    or when the peer goes away. A v2 hello requesting mux (unless [mux] is
-    [false]) switches the connection to multiplexed framing, where each
-    session id binds its own container, [Bye] retires one session, and at
-    most [max_mux_sessions] (default 256) sessions may be open at once —
-    excess hellos get a typed busy rejection. A hello carrying a trace id
-    is granted trace linkage: the server emits [server.request] spans tied
-    to that trace, and (under mux) the connection switches to traced
-    framing whose per-frame span ids become the spans' parents. Merges the
-    connection's stats into {!totals} and its telemetry into
-    {!telemetry}. *)
+    or when the peer goes away. A hello requesting mux switches the
+    connection to multiplexed framing, where each session id binds its own
+    container, [Bye] retires one session, and at most [max_mux_sessions]
+    (default 256) sessions may be open at once — excess hellos get a typed
+    busy rejection. A hello carrying a trace id is granted trace linkage:
+    the server emits [server.request] spans tied to that trace, and (under
+    mux) the connection switches to traced framing whose per-frame span
+    ids become the spans' parents. Feeds {!telemetry}. *)
 
 val loopback_connector : t -> unit -> Transport.t
 (** A fresh in-process connection per call: requests are served
     synchronously inside the client's write, replies drain from a
     per-connection outbox. Hermetic (no sockets or threads) but exercises
     the full encode/frame/decode path on both sides. Plain-framed only —
-    mux requests are answered with a graceful downgrade; trace ids are
-    granted, with [server.request] spans parented on the client's ambient
-    span (the serving happens on the client's own thread). *)
+    a hello requesting mux is answered without the grant, which a
+    {!Mux.connect} probe refuses; trace ids are granted, with
+    [server.request] spans parented on the client's ambient span (the
+    serving happens on the client's own thread). *)
 
 val serve :
   ?max_sessions:int ->
-  ?mux:bool ->
   ?domains:int ->
   ?timeout_s:float ->
   ?stop:bool ref ->

@@ -10,12 +10,6 @@ type t = {
          into a single round trip *)
   mutable bytes_sent : int;
   mutable bytes_received : int;
-  mutable busy_rejections : int;
-      (* admission-control backpressure: peers turned away with err_busy *)
-  mutable mux_sessions : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-      (* per-session attribution of the terminal's shared caches *)
   mutable syncs : int;
       (* Sync round trips performed (delta or up-to-date answers both) *)
   mutable sync_delta_bytes : int;
@@ -36,10 +30,6 @@ let make () =
     batched_requests = 0;
     bytes_sent = 0;
     bytes_received = 0;
-    busy_rejections = 0;
-    mux_sessions = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     syncs = 0;
     sync_delta_bytes = 0;
     rtt_hist = Xmlac_obs.Histogram.make "wall_rtt";
@@ -57,10 +47,6 @@ let metrics (s : t) : Xmlac_obs.Metrics.t =
       int "batched_requests" s.batched_requests;
       int "bytes_sent" s.bytes_sent;
       int "bytes_received" s.bytes_received;
-      int "busy_rejections" s.busy_rejections;
-      int "mux_sessions" s.mux_sessions;
-      int "cache_hits" s.cache_hits;
-      int "cache_misses" s.cache_misses;
       int "syncs" s.syncs;
       int "sync_delta_bytes" s.sync_delta_bytes;
     ]
@@ -76,10 +62,6 @@ let add ~into (s : t) =
   into.batched_requests <- into.batched_requests + s.batched_requests;
   into.bytes_sent <- into.bytes_sent + s.bytes_sent;
   into.bytes_received <- into.bytes_received + s.bytes_received;
-  into.busy_rejections <- into.busy_rejections + s.busy_rejections;
-  into.mux_sessions <- into.mux_sessions + s.mux_sessions;
-  into.cache_hits <- into.cache_hits + s.cache_hits;
-  into.cache_misses <- into.cache_misses + s.cache_misses;
   into.syncs <- into.syncs + s.syncs;
   into.sync_delta_bytes <- into.sync_delta_bytes + s.sync_delta_bytes;
   Xmlac_obs.Histogram.merge ~into:into.rtt_hist s.rtt_hist

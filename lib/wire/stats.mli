@@ -1,6 +1,6 @@
-(** Per-connection wire counters, kept by both ends: the client threads them
-    into {!Xmlac_soe.Session} metrics under a ["wire."] prefix, the server
-    merges per-connection stats into run totals for its [--stats] output.
+(** Per-connection wire counters of the client (the SOE end), threaded
+    into {!Xmlac_soe.Session} metrics under a ["wire."] prefix. The
+    terminal keeps its accounting in {!Telemetry}.
 
     [payload_bytes] counts reply bytes the way the in-process channel counts
     [bytes_to_soe] (actual ciphertext/digest lengths, the constant padded
@@ -21,19 +21,9 @@ type t = {
           into one round trip *)
   mutable bytes_sent : int;
   mutable bytes_received : int;
-  mutable busy_rejections : int;
-      (** admission-control rejections: connections (or mux sessions)
-          turned away with [err_busy] — server-side backpressure *)
-  mutable mux_sessions : int;
-      (** multiplexed sessions opened (server: per connection; client:
-          per mux connection) *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-      (** this session's share of the terminal's registry-level shared
-          caches (per-session attribution of a cross-session cache) *)
   mutable syncs : int;
       (** [Sync] round trips performed, whether answered with a delta or
-          with up-to-date (XWTP v1.3 dissemination) *)
+          with up-to-date *)
   mutable sync_delta_bytes : int;
       (** encoded delta bytes received in [Sync_delta] replies — the
           number the bench compares against a full fetch's

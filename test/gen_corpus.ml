@@ -114,35 +114,35 @@ let cases : (string * string) list Lazy.t =
        ("wire__oversized_frame.bin", be_bytes (2 * 1024 * 1024) 4 ^ "x");
        ("wire__truncated_body.bin", be_bytes 100 4 ^ "short");
        ("wire__bad_opcode.bin", Xmlac_wire.Frame.encode "\x7f\x00\x00");
-       ("wire__hello_bad_magic.bin", Xmlac_wire.Frame.encode "\x01ZZTP\x00\x01");
+       ( "wire__hello_bad_magic.bin",
+         Xmlac_wire.Frame.encode "\x01ZZTP\x00\x03" );
        (* a Siblings reply announcing 65535 digests *)
        ("wire__siblings_bomb.bin", "\x86\xff\xff");
        (* a Hash_state reply whose length field exceeds the padded size *)
        ("wire__hash_state_oversize.bin", "\x85\x03\xe8" ^ String.make 92 '\x00');
-       (* a handshake advertising a geometry past the allocation cap *)
+       (* a handshake advertising a geometry past the allocation cap, at the
+          protocol version so it reaches the geometry check *)
        ( "wire__hello_bomb_metadata.bin",
          Xmlac_wire.Protocol.encode_response
            (Xmlac_wire.Protocol.Hello_ok
               {
-                Xmlac_wire.Protocol.meta_version = 1;
-                scheme = C.Ecb_mht;
+                Xmlac_wire.Protocol.scheme = C.Ecb_mht;
                 chunk_size = 512;
                 fragment_size = 64;
                 payload_length = ((1 lsl 22) + 1) * 512;
                 chunk_count = (1 lsl 22) + 1;
                 integrity = true;
-                batching = true;
                 mux = false;
                 trace = false;
                 generation = 0;
                 key_epoch = 0;
               }) );
-       (* a v2 hello whose trace-id length field is zero (reserved) *)
+       (* a hello whose trace-id length field is zero (reserved) *)
        ( "wire__hello_trace_zero_len.bin",
-         Xmlac_wire.Frame.encode "\x01XWTP\x00\x02\x02\x00\x00\x00" );
-       (* a v2 hello whose container-id length field overshoots the cap *)
+         Xmlac_wire.Frame.encode "\x01XWTP\x00\x03\x02\x00\x00\x00" );
+       (* a hello whose container-id length field overshoots the cap *)
        ( "wire__hello_container_bomb.bin",
-         Xmlac_wire.Frame.encode "\x01XWTP\x00\x02\x01\xff\xffx" );
+         Xmlac_wire.Frame.encode "\x01XWTP\x00\x03\x01\xff\xffx" );
        (* policy — Policy.of_string must return Error, never raise *)
        ("policy__bad_sign.bin", "p1 % //a\n");
        ("policy__bad_xpath.bin", "p1 + //a[[[\n");

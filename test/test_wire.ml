@@ -36,19 +36,16 @@ let wire_stats (m : Session.measurement) =
 
 let sample_requests =
   [
+    Wire.Protocol.Hello { container = ""; mux = false; trace = "" };
+    Wire.Protocol.Hello { container = "records"; mux = true; trace = "" };
     Wire.Protocol.Hello
-      { version = Wire.Protocol.version; container = ""; mux = false;
-        trace = "" };
+      { container = "records"; mux = true; trace = "client-42" };
     Wire.Protocol.Hello
-      { version = Wire.Protocol.version; container = "records"; mux = true;
-        trace = "" };
-    Wire.Protocol.Hello
-      { version = Wire.Protocol.version; container = "records"; mux = true;
-        trace = "client-42" };
-    Wire.Protocol.Hello
-      { version = Wire.Protocol.version; container = ""; mux = false;
-        trace = String.make Wire.Protocol.max_trace_id 't' };
-    Wire.Protocol.Hello { version = 1; container = ""; mux = false; trace = "" };
+      {
+        container = "";
+        mux = false;
+        trace = String.make Wire.Protocol.max_trace_id 't';
+      };
     Wire.Protocol.Get_fragment { chunk = 3; fragment = 7; lo = 8; hi = 64 };
     Wire.Protocol.Get_chunk { chunk = 0 };
     Wire.Protocol.Get_digest { chunk = 12 };
@@ -68,14 +65,12 @@ let sample_responses =
   [
     Wire.Protocol.Hello_ok
       {
-        Wire.Protocol.meta_version = 1;
-        scheme = Container.Ecb_mht;
+        Wire.Protocol.scheme = Container.Ecb_mht;
         chunk_size = 512;
         fragment_size = 64;
         payload_length = 5000;
         chunk_count = 10;
         integrity = true;
-        batching = true;
         mux = false;
         trace = false;
         generation = 0;
@@ -83,14 +78,12 @@ let sample_responses =
       };
     Wire.Protocol.Hello_ok
       {
-        Wire.Protocol.meta_version = 2;
-        scheme = Container.Cbc_sha;
+        Wire.Protocol.scheme = Container.Cbc_sha;
         chunk_size = 512;
         fragment_size = 64;
         payload_length = 5000;
         chunk_count = 10;
         integrity = true;
-        batching = true;
         mux = true;
         trace = true;
         generation = 0;
@@ -98,14 +91,12 @@ let sample_responses =
       };
     Wire.Protocol.Hello_ok
       {
-        Wire.Protocol.meta_version = 3;
-        scheme = Container.Ecb_mht;
+        Wire.Protocol.scheme = Container.Ecb_mht;
         chunk_size = 512;
         fragment_size = 64;
         payload_length = 5000;
         chunk_count = 10;
         integrity = true;
-        batching = true;
         mux = false;
         trace = false;
         generation = 7;
@@ -178,14 +169,12 @@ let test_hash_state_padding () =
 let test_metadata_geometry_rejects () =
   let meta chunk_count payload_length =
     {
-      Wire.Protocol.meta_version = Wire.Protocol.version;
-      scheme = Container.Ecb_mht;
+      Wire.Protocol.scheme = Container.Ecb_mht;
       chunk_size = 512;
       fragment_size = 64;
       payload_length;
       chunk_count;
       integrity = true;
-      batching = true;
       mux = false;
       trace = false;
       generation = 0;
@@ -199,13 +188,6 @@ let test_metadata_geometry_rejects () =
   check bool_t "allocation bomb rejected" true
     (rejected (meta ((1 lsl 22) + 1) (((1 lsl 22) + 1) * 512)));
   check bool_t "count/length disagreement rejected" true (rejected (meta 3 100));
-  check bool_t "wrong version rejected" true
-    (rejected { (meta 1 100) with Wire.Protocol.meta_version = 99 });
-  check bool_t "mux grant under v1 metadata rejected" true
-    (rejected { (meta 1 100) with Wire.Protocol.meta_version = 1; mux = true });
-  check bool_t "trace grant under v1 metadata rejected" true
-    (rejected
-       { (meta 1 100) with Wire.Protocol.meta_version = 1; trace = true });
   check bool_t "lying integrity flag rejected" true
     (rejected { (meta 1 100) with Wire.Protocol.integrity = false })
 
@@ -228,6 +210,67 @@ let server_total =
       match Wire.Protocol.decode_response reply with
       | _ -> true
       | exception Wire.Error.Wire _ -> false)
+
+(* The hello layouts are fixed: the version field reads 3, the reply
+   always carries generation and key epoch, and bit 1 of its flags is
+   always set. *)
+let test_hello_layout_pinned () =
+  let hello =
+    Wire.Protocol.encode_request
+      (Wire.Protocol.Hello { container = "doc"; mux = true; trace = "" })
+  in
+  check Alcotest.string "hello bytes" "\x01XWTP\x00\x03\x01\x00\x03doc" hello;
+  let reply =
+    Wire.Protocol.encode_response
+      (Wire.Protocol.Hello_ok
+         {
+           Wire.Protocol.scheme = Container.Ecb_mht;
+           chunk_size = 512;
+           fragment_size = 64;
+           payload_length = 5000;
+           chunk_count = 10;
+           integrity = true;
+           mux = false;
+           trace = false;
+           generation = 7;
+           key_epoch = 2;
+         })
+  in
+  check int_t "hello reply length" 35 (String.length reply);
+  check int_t "reply version field" Wire.Protocol.version
+    (String.get_uint16_be reply 1);
+  check int_t "reply flags: integrity and the always-set bit 1" 0x03
+    (Char.code reply.[24])
+
+(* Both decoders refuse a hello of any other version with a typed error. *)
+let test_other_versions_refused () =
+  let with_version v s =
+    let b = Bytes.of_string s in
+    Bytes.set_uint16_be b (if s.[0] = '\x01' then 5 else 1) v;
+    Bytes.to_string b
+  in
+  let hello =
+    Wire.Protocol.encode_request
+      (Wire.Protocol.Hello { container = ""; mux = false; trace = "" })
+  in
+  let reply =
+    Wire.Protocol.encode_response
+      (Wire.Protocol.Hello_ok
+         (Wire.Server.metadata (Lazy.force shared_server)))
+  in
+  List.iter
+    (fun v ->
+      (match Wire.Protocol.decode_request (with_version v hello) with
+      | _ -> Alcotest.failf "hello of version %d decoded" v
+      | exception Wire.Error.Wire (Wire.Error.Protocol _) -> ());
+      match Wire.Protocol.decode_response (with_version v reply) with
+      | _ -> Alcotest.failf "hello reply of version %d decoded" v
+      | exception Wire.Error.Wire (Wire.Error.Protocol _) -> ())
+    [ 0; 1; 2; 4; 0xFFFF ];
+  (* the short form older clients sent stops after the version *)
+  match Wire.Protocol.decode_request "\x01XWTP\x00\x01" with
+  | _ -> Alcotest.fail "short-form hello decoded"
+  | exception Wire.Error.Wire (Wire.Error.Protocol _) -> ()
 
 (* Loopback equivalence --------------------------------------------------- *)
 
@@ -332,9 +375,7 @@ let test_batch_codec_limits () =
     (rejected
        (Wire.Protocol.Batch
           [
-            Wire.Protocol.Hello
-              { version = Wire.Protocol.version; container = ""; mux = false;
-                trace = "" };
+            Wire.Protocol.Hello { container = ""; mux = false; trace = "" };
           ]));
   check bool_t "Get_stats cannot be batched" true
     (rejected (Wire.Protocol.Batch [ Wire.Protocol.Get_stats ]));
@@ -342,8 +383,7 @@ let test_batch_codec_limits () =
   let smuggled =
     let sub_bytes =
       Wire.Protocol.encode_request
-        (Wire.Protocol.Hello
-           { version = 1; container = ""; mux = false; trace = "" })
+        (Wire.Protocol.Hello { container = ""; mux = false; trace = "" })
     in
     let b = Buffer.create 16 in
     Buffer.add_char b '\x08';
@@ -696,9 +736,9 @@ let test_concurrent_sessions () =
       if not (String.equal expected r) then
         Alcotest.failf "session %d diverges from the reference output" i)
     results;
-  let totals = Wire.Server.totals server in
+  let tel = (Wire.Server.telemetry_snapshot server).Wire.Telemetry.server in
   check bool_t "server tallied the sessions" true
-    (totals.Wire.Stats.requests > n)
+    (tel.Wire.Telemetry.sr_requests > n)
 
 let socket_equivalence addr () =
   let cfg = cfg Container.Ecb_mht in
@@ -1045,16 +1085,16 @@ let test_busy_churn () =
         (String.length (Wire.Client.fetch_digest c3 ~chunk:0) > 0);
       Wire.Client.close c3;
       Wire.Client.close c2);
-  let totals = Wire.Server.totals server in
+  let tel = (Wire.Server.telemetry_snapshot server).Wire.Telemetry.server in
   check bool_t "busy rejections counted" true
-    (totals.Wire.Stats.busy_rejections >= 1)
+    (tel.Wire.Telemetry.sr_busy_rejections >= 1)
 
-(* Mux: N concurrent sessions over one connection ≡ sequential v1.1 ------- *)
+(* Mux: N concurrent sessions over one connection ≡ one plain connection --- *)
 
 (* Serve [containers] on a TCP listener, run [f], drain, then hand the
-   server to [after] — totals are only fully merged once every
+   server to [after] — telemetry is only fully flushed once every
    connection's serve loop has ended, so counter checks belong there. *)
-let with_fleet_server ?(max_sessions = 8) ?(mux = true)
+let with_fleet_server ?(max_sessions = 8)
     ?(after = fun (_ : Wire.Server.t) -> ()) containers f =
   let server = Wire.Server.create () in
   List.iter
@@ -1065,7 +1105,7 @@ let with_fleet_server ?(max_sessions = 8) ?(mux = true)
   let th =
     Thread.create
       (fun () ->
-        try Wire.Server.serve ~max_sessions ~mux ~stop server listener
+        try Wire.Server.serve ~max_sessions ~stop server listener
         with Wire.Error.Wire _ -> ())
       ()
   in
@@ -1084,36 +1124,29 @@ let test_mux_equivalence scheme () =
   let n = 4 in
   with_fleet_server
     ~after:(fun server ->
-      let totals = Wire.Server.totals server in
+      let tel = (Wire.Server.telemetry_snapshot server).Wire.Telemetry.server in
       check bool_t "server counted the mux sessions" true
-        (totals.Wire.Stats.mux_sessions >= n))
+        (tel.Wire.Telemetry.sr_mux_opened >= n))
     [ ("doc", published.Session.container) ]
     (fun (_ : Wire.Server.t) connector ->
-      (* the sequential XWTP v1.1 reference: plain connection, short hello *)
-      let v1 () =
-        let r =
-          Remote.connect
-            ~config:
-              { Wire.Client.default_config with protocol_version = 1 }
-            connector
-        in
+      (* the sequential reference: one plain connection *)
+      let reference =
+        let r = Remote.connect connector in
         let m = Session.evaluate_remote cfg0 r Profiles.secretary in
-        check int_t "v1 metadata version" 1
-          (Remote.metadata r).Wire.Protocol.meta_version;
+        check bool_t "plain connection is not multiplexed" false
+          (Remote.metadata r).Wire.Protocol.mux;
         Remote.close r;
         m
       in
-      let reference = v1 () in
       let mux = Wire.Mux.connect connector in
-      check bool_t "mux granted" true (Wire.Mux.is_mux mux);
       let results = Array.make n None in
       let failures = Array.make n None in
       let worker i =
         try
           let r = Remote.connect ~container:"doc" (Wire.Mux.session mux) in
           let m = Session.evaluate_remote cfg0 r Profiles.secretary in
-          check int_t "mux metadata version" Wire.Protocol.version
-            (Remote.metadata r).Wire.Protocol.meta_version;
+          check bool_t "mux session metadata carries the grant" true
+            (Remote.metadata r).Wire.Protocol.mux;
           Remote.close r;
           results.(i) <- Some m
         with e -> failures.(i) <- Some e
@@ -1131,239 +1164,137 @@ let test_mux_equivalence scheme () =
           match m with
           | None -> Alcotest.failf "session %d produced nothing" i
           | Some m ->
-              check Alcotest.string "byte-identical to sequential v1.1"
+              check Alcotest.string "byte-identical to the plain connection"
                 (events_string reference) (events_string m);
-              check int_t "payload accounting identical to v1.1"
+              check int_t "payload accounting identical to the plain connection"
                 (wire_stats reference).Wire.Stats.payload_bytes
                 (wire_stats m).Wire.Stats.payload_bytes)
         results;
       Wire.Mux.close mux)
 
-(* Downgrade negotiation matrix ------------------------------------------- *)
+(* One version: refusals are final ---------------------------------------- *)
 
-(* Wrap a loopback connection as a v1.1-only terminal: any v2 hello is
-   answered locally with a refusal; everything else passes through to the
-   real (v2) server, which answers v1 hellos in kind. By default the
-   refusal is [err_bad_request] with a "trailing bytes" message — exactly
-   what the real pre-fleet decoder produced, since it called [finish]
-   right after the hello version and choked on the v2 hello's appended
-   flags/container bytes. [~reject:err_unsupported] models a terminal
-   that recognizes the offered version and refuses it explicitly. *)
-let v1_only_connector ?(reject = Wire.Protocol.err_bad_request) server () =
+(* A generation-1, key-epoch-1 container: what a terminal serves after a
+   key rotation. *)
+let rotated_server () =
+  let key = Xmlac_crypto.Des.Triple.key_of_string "xmlac-rotate-24-byte-key" in
+  let c =
+    Container.encrypt ~chunk_size:512 ~fragment_size:64 ~generation:1
+      ~key_epoch:1 ~scheme:Container.Ecb_mht ~key
+      (Xmlac_skip_index.Encoder.encode ~layout:Layout.Tcsbr hospital)
+  in
+  Wire.Server.make c
+
+(* A loopback terminal that refuses the first hello it sees (a frame whose
+   payload opens with the hello opcode) and serves everything after it;
+   [hellos] counts every hello the client sent. *)
+let refuse_first_hello server hellos () =
   let inner = Wire.Server.loopback_connector server () in
   let pending = ref "" in
-  let pos = ref 0 in
   let write data =
-    let payload = String.sub data 4 (String.length data - 4) in
-    match Wire.Protocol.decode_request payload with
-    | Wire.Protocol.Hello { version; _ } when version >= 2 ->
-        let message =
-          if reject = Wire.Protocol.err_bad_request then
-            "request: 3 trailing bytes after hello"
-          else "protocol version 2 not supported"
-        in
+    if String.length data > 4 && data.[4] = '\x01' then begin
+      incr hellos;
+      if !hellos = 1 then
         pending :=
-          String.sub !pending !pos (String.length !pending - !pos)
-          ^ Wire.Frame.encode
-              (Wire.Protocol.encode_response
-                 (Wire.Protocol.Err { code = reject; message }));
-        pos := 0
-    | _ -> Wire.Transport.write inner data
-    | exception Wire.Error.Wire _ -> Wire.Transport.write inner data
+          Wire.Frame.encode
+            (Wire.Protocol.encode_response
+               (Wire.Protocol.Err
+                  {
+                    code = Wire.Protocol.err_unsupported;
+                    message = "hello refused";
+                  }))
+      else Wire.Transport.write inner data
+    end
+    else Wire.Transport.write inner data
   in
   let read buf off len =
-    if !pos >= String.length !pending then begin
-      pending := Wire.Frame.encode (Wire.Frame.read inner);
-      pos := 0
-    end;
-    let n = min len (String.length !pending - !pos) in
-    Bytes.blit_string !pending !pos buf off n;
-    pos := !pos + n;
-    n
+    if !pending = "" then Wire.Transport.read inner buf off len
+    else begin
+      let n = min len (String.length !pending) in
+      Bytes.blit_string !pending 0 buf off n;
+      pending := String.sub !pending n (String.length !pending - n);
+      n
+    end
   in
   Wire.Transport.make ~read ~write
     ~close:(fun () -> Wire.Transport.close inner)
-    ~peer:"loopback+v1only" ()
+    ~peer:"loopback+refusing" ()
 
-let test_downgrade_matrix () =
-  let published = publish_scheme Container.Ecb_mht in
-  let server = Wire.Server.create () in
-  Wire.Server.publish server ~id:"doc" published.Session.container;
-  let meta_of ~config connector =
-    let c = Wire.Client.connect ~config connector in
-    let m = Wire.Client.metadata c in
-    Wire.Client.close c;
-    m
-  in
-  let v2 = Wire.Client.default_config in
-  let v1 = { Wire.Client.default_config with protocol_version = 1 } in
-  (* v2 client ↔ v2 terminal: full v1.2 metadata *)
-  let m = meta_of ~config:v2 (Wire.Server.loopback_connector server) in
-  check int_t "v2<->v2 negotiates the full version" Wire.Protocol.version
-    m.Wire.Protocol.meta_version;
-  (* v1 client ↔ v2 terminal: the terminal answers in v1.1 *)
-  let m = meta_of ~config:v1 (Wire.Server.loopback_connector server) in
-  check int_t "v1 client gets v1 metadata" 1 m.Wire.Protocol.meta_version;
-  check bool_t "no mux grant in v1 metadata" false m.Wire.Protocol.mux;
-  (* v2 client ↔ v1-only terminal: one short-form retry, connected at v1.
-     A genuine pre-fleet decoder refuses the v2 hello with err_bad_request
-     (it cannot parse the trailing bytes); a version-aware terminal with
-     err_unsupported — the client must downgrade on both. *)
-  List.iter
-    (fun reject ->
-      let m = meta_of ~config:v2 (v1_only_connector ~reject server) in
-      check int_t "v2 client downgrades to v1" 1 m.Wire.Protocol.meta_version)
-    [ Wire.Protocol.err_bad_request; Wire.Protocol.err_unsupported ];
-  (* a container-pinned client must refuse the downgrade: a v1 hello
-     cannot name a container *)
+let test_refused_hello_is_final () =
+  let server = rotated_server () in
+  let hellos = ref 0 in
   (match
-     meta_of
-       ~config:{ v2 with Wire.Client.container = "doc" }
-       (v1_only_connector server)
+     Remote.connect
+       ~config:{ Wire.Client.default_config with backoff_s = 0. }
+       (refuse_first_hello server hellos)
    with
-  | (_ : Wire.Protocol.metadata) ->
-      Alcotest.fail "container-pinned client downgraded to v1"
-  | exception Wire.Error.Wire (Wire.Error.Handshake _) -> ());
-  (* a mux endpoint probing a v1-only terminal downgrades to plain
-     connections — sessions still work, just unmultiplexed *)
-  let mux = Wire.Mux.connect (v1_only_connector server) in
-  check bool_t "mux probe downgrades" false (Wire.Mux.is_mux mux);
-  let r = Remote.connect (Wire.Mux.session mux) in
-  let m = Session.evaluate_remote (cfg Container.Ecb_mht) r Profiles.secretary in
-  check bool_t "downgraded session still serves" true
-    (String.length (events_string m) > 0);
-  Remote.close r;
-  Wire.Mux.close mux;
-  (* a no-mux v1.2 terminal: hello succeeds at v2 but without the grant *)
-  let published2 = publish_scheme Container.Ecb_mht in
-  with_fleet_server ~mux:false
-    [ ("doc", published2.Session.container) ]
-    (fun _server connector ->
-      let mux = Wire.Mux.connect connector in
-      check bool_t "no-mux terminal refuses the grant" false
-        (Wire.Mux.is_mux mux);
-      let m = meta_of ~config:v2 connector in
-      check int_t "still full-version metadata" Wire.Protocol.version
-        m.Wire.Protocol.meta_version;
-      check bool_t "no mux bit" false m.Wire.Protocol.mux;
-      Wire.Mux.close mux)
-
-(* An "old v1.2" terminal: speaks v2 (metadata, container binding, mux)
-   but predates the trace extension, so a hello carrying the trace flag
-   is refused as a malformed request — the shape of a pre-telemetry
-   decoder choking on an unknown flag bit. Everything else (including the
-   trace-stripped retry, and mux framing after the handshake, whose
-   writes do not decode as requests) passes through untouched. *)
-let reject_trace_connector inner_connector () =
-  let inner = inner_connector () in
-  let pending = ref "" in
-  let pos = ref 0 in
-  let write data =
-    let payload = String.sub data 4 (String.length data - 4) in
-    match Wire.Protocol.decode_request payload with
-    | Wire.Protocol.Hello { version; trace; _ }
-      when version >= 2 && trace <> "" ->
-        pending :=
-          String.sub !pending !pos (String.length !pending - !pos)
-          ^ Wire.Frame.encode
-              (Wire.Protocol.encode_response
-                 (Wire.Protocol.Err
-                    {
-                      code = Wire.Protocol.err_bad_request;
-                      message = "request: unknown hello flag 0x2";
-                    }));
-        pos := 0
-    | _ -> Wire.Transport.write inner data
-    | exception Wire.Error.Wire _ -> Wire.Transport.write inner data
-  in
-  let read buf off len =
-    if !pos >= String.length !pending then begin
-      pending := Wire.Frame.encode (Wire.Frame.read inner);
-      pos := 0
-    end;
-    let n = min len (String.length !pending - !pos) in
-    Bytes.blit_string !pending !pos buf off n;
-    pos := !pos + n;
-    n
-  in
-  Wire.Transport.make ~read ~write
-    ~close:(fun () -> Wire.Transport.close inner)
-    ~peer:"loopback+notrace" ()
-
-(* Trace rows of the downgrade matrix: a traced client against every
-   terminal generation must land on a working session with byte-identical
-   evaluation — the trace extension buys linkage when granted and costs
-   nothing but a handshake round trip when not. *)
-let test_downgrade_trace_matrix () =
-  let cfg0 = cfg Container.Ecb_mht in
-  let published = publish_scheme Container.Ecb_mht in
-  let reference =
-    events_string (Session.evaluate cfg0 published Profiles.secretary)
-  in
-  let server = Wire.Server.create () in
-  Wire.Server.publish server ~id:"doc" published.Session.container;
-  let evaluate connector =
-    let r = Remote.connect ~trace_id:"trace-dm" connector in
-    let m = Session.evaluate_remote cfg0 r Profiles.secretary in
-    let granted = Remote.trace_granted r in
-    let meta = Remote.metadata r in
-    Remote.close r;
-    check Alcotest.string "byte-identical evaluation" reference
-      (events_string m);
-    (granted, meta)
-  in
-  (* v2 traced client ↔ v2 terminal: granted, id intact *)
-  let granted, meta = evaluate (Wire.Server.loopback_connector server) in
-  check bool_t "v1.2 terminal grants the trace" true granted;
-  check int_t "still full-version metadata" Wire.Protocol.version
-    meta.Wire.Protocol.meta_version;
-  (* v2 traced client ↔ v1-only terminal: the strip rung fires, then the
-     version ladder — connected at v1, untraced, same bytes. Both refusal
-     codes a real old terminal can produce. *)
-  List.iter
-    (fun reject ->
-      let granted, meta =
-        evaluate (v1_only_connector ~reject server)
-      in
-      check bool_t "v1 terminal: no trace grant" false granted;
-      check int_t "v1 terminal: v1 metadata" 1 meta.Wire.Protocol.meta_version)
-    [ Wire.Protocol.err_bad_request; Wire.Protocol.err_unsupported ];
-  (* v2 traced client ↔ pre-telemetry v1.2 terminal: the strip keeps the
-     session at v2 (container binding intact), only the trace is gone *)
-  let granted, meta =
-    evaluate (reject_trace_connector (Wire.Server.loopback_connector server))
-  in
-  check bool_t "pre-telemetry terminal: no trace grant" false granted;
-  check int_t "pre-telemetry terminal: still full-version metadata"
-    Wire.Protocol.version meta.Wire.Protocol.meta_version;
-  (* the stripped client remembers: its next hellos offer no trace *)
-  let c =
-    Wire.Client.connect
-      ~config:{ Wire.Client.default_config with trace = "trace-dm" }
-      (reject_trace_connector (Wire.Server.loopback_connector server))
-  in
-  check Alcotest.string "strip is sticky on the connection" ""
-    (Wire.Client.trace c);
-  check bool_t "stripped client reports no grant" false
-    (Wire.Client.trace_granted c);
-  Wire.Client.close c;
-  (* a traced mux probe against the same old terminal: the strip rung
-     re-probes on a fresh connection, so mux survives losing the trace *)
-  let published2 = publish_scheme Container.Ecb_mht in
-  with_fleet_server
-    [ ("doc", published2.Session.container) ]
-    (fun _server connector ->
-      let mux =
-        Wire.Mux.connect ~trace:"trace-dm" (reject_trace_connector connector)
-      in
-      check bool_t "old terminal still grants mux to a traced probe" true
-        (Wire.Mux.is_mux mux);
-      let r = Remote.connect ~container:"doc" (Wire.Mux.session mux) in
-      let m = Session.evaluate_remote cfg0 r Profiles.secretary in
-      check bool_t "mux session serves after the strip" true
-        (String.length (events_string m) > 0);
+  | r ->
+      let m = Remote.metadata r in
       Remote.close r;
+      Alcotest.failf
+        "refused hello answered by a second one (generation %d, key epoch %d)"
+        m.Wire.Protocol.generation m.Wire.Protocol.key_epoch
+  | exception Wire.Error.Wire (Wire.Error.Handshake _) -> ());
+  check int_t "exactly one hello" 1 !hellos;
+  (* without the refusal the same terminal reports the rotation *)
+  let r = Remote.connect (Wire.Server.loopback_connector server) in
+  let m = Remote.metadata r in
+  Remote.close r;
+  check int_t "generation" 1 m.Wire.Protocol.generation;
+  check int_t "key epoch" 1 m.Wire.Protocol.key_epoch
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A hello of another version gets a typed [Err] — on a plain TCP
+   connection, in a mux session and on the loopback alike — and the
+   connection keeps serving. *)
+let test_other_version_refused_on_every_path () =
+  let published = publish_scheme Container.Ecb_mht in
+  let old_hello = Wire.Frame.encode "\x01XWTP\x00\x02\x00\x00\x00" in
+  let refused name tr =
+    Wire.Transport.write tr old_hello;
+    (match Wire.Protocol.decode_response (Wire.Frame.read tr) with
+    | Wire.Protocol.Err { code; message } ->
+        check int_t (name ^ ": typed refusal") Wire.Protocol.err_bad_request
+          code;
+        check bool_t (name ^ ": names the version") true
+          (contains message "version")
+    | _ -> Alcotest.failf "%s: hello of version 2 answered" name);
+    (* the refusal is a reply, not a hang-up *)
+    let get_chunk = Wire.Protocol.Get_chunk { chunk = 0 } in
+    Wire.Transport.write tr
+      (Wire.Frame.encode (Wire.Protocol.encode_request get_chunk));
+    match Wire.Protocol.decode_response (Wire.Frame.read tr) with
+    | Wire.Protocol.Chunk _ -> ()
+    | _ -> Alcotest.failf "%s: no data after the refusal" name
+  in
+  with_fleet_server
+    [ ("doc", published.Session.container) ]
+    (fun _server connector ->
+      let tr = connector () in
+      refused "plain tcp" tr;
+      Wire.Transport.close tr;
+      let mux = Wire.Mux.connect connector in
+      let s = Wire.Mux.session mux () in
+      refused "mux session" s;
+      Wire.Transport.close s;
       Wire.Mux.close mux);
+  let server = Wire.Server.make published.Session.container in
+  let tr = Wire.Server.loopback_connector server () in
+  refused "loopback" tr;
+  Wire.Transport.close tr
+
+let test_loopback_mux_probe_refused () =
+  let published = publish_scheme Container.Ecb_mht in
+  let server = Wire.Server.make published.Session.container in
+  (match Wire.Mux.connect (Wire.Server.loopback_connector server) with
+  | (_ : Wire.Mux.t) -> Alcotest.fail "loopback granted session multiplexing"
+  | exception Wire.Error.Wire (Wire.Error.Handshake _) -> ());
   (* an over-long trace id never reaches the wire *)
   match
     Wire.Mux.connect
@@ -1372,6 +1303,28 @@ let test_downgrade_trace_matrix () =
   with
   | (_ : Wire.Mux.t) -> Alcotest.fail "oversized trace id accepted"
   | exception Invalid_argument _ -> ()
+
+(* A closed endpoint stays closed: no later session quietly opens a plain
+   connection instead. *)
+let test_mux_close_is_final () =
+  let published = publish_scheme Container.Ecb_mht in
+  with_fleet_server
+    [ ("doc", published.Session.container) ]
+    (fun _server connector ->
+      let mux = Wire.Mux.connect connector in
+      let r = Remote.connect ~container:"doc" (Wire.Mux.session mux) in
+      let m =
+        Session.evaluate_remote (cfg Container.Ecb_mht) r Profiles.secretary
+      in
+      check bool_t "session served before close" true
+        (String.length (events_string m) > 0);
+      Remote.close r;
+      Wire.Mux.close mux;
+      match Wire.Mux.session mux () with
+      | tr ->
+          Wire.Transport.close tr;
+          Alcotest.fail "closed endpoint opened a session"
+      | exception Invalid_argument _ -> ())
 
 (* Session churn on one mux connection: closing a session transport
    without a protocol Bye (the shape of the client's retry-path [drop])
@@ -1393,18 +1346,11 @@ let test_mux_session_churn () =
   in
   let tr = Wire.Transport.connect (Wire.Transport.bound_addr listener) in
   let mux = Wire.Mux.connect (fun () -> tr) in
-  check bool_t "mux granted" true (Wire.Mux.is_mux mux);
   let hello s =
     Wire.Transport.write s
       (Wire.Frame.encode
          (Wire.Protocol.encode_request
-            (Wire.Protocol.Hello
-               {
-                 version = Wire.Protocol.version;
-                 container = "";
-                 mux = false;
-                 trace = "";
-               })));
+            (Wire.Protocol.Hello { container = ""; mux = false; trace = "" })));
     Wire.Protocol.decode_response (Wire.Frame.read s)
   in
   (* churn well past the cap; every close is transport-level only *)
@@ -1451,6 +1397,10 @@ let () =
           Alcotest.test_case "hash state padding" `Quick test_hash_state_padding;
           Alcotest.test_case "metadata validation" `Quick
             test_metadata_geometry_rejects;
+          Alcotest.test_case "hello layouts pinned" `Quick
+            test_hello_layout_pinned;
+          Alcotest.test_case "other versions refused by both decoders" `Quick
+            test_other_versions_refused;
           Alcotest.test_case "parse addr" `Quick test_parse_addr;
           QCheck_alcotest.to_alcotest decoders_total;
           QCheck_alcotest.to_alcotest server_total;
@@ -1514,17 +1464,25 @@ let () =
       ( "mux",
         List.map
           (fun scheme ->
+            (* the names date from when the plain reference spoke v1.1;
+               they are kept so the cases stay comparable across runs *)
             Alcotest.test_case
               (Container.scheme_to_string scheme ^ " mux ≡ sequential v1.1")
               `Quick
               (test_mux_equivalence scheme))
           Container.all_schemes
         @ [
-            Alcotest.test_case "downgrade matrix" `Quick
-              test_downgrade_matrix;
-            Alcotest.test_case "downgrade matrix: trace rows" `Quick
-              test_downgrade_trace_matrix;
             Alcotest.test_case "session churn retires bindings" `Quick
               test_mux_session_churn;
+            Alcotest.test_case "close is final" `Quick test_mux_close_is_final;
+            Alcotest.test_case "loopback probe refused" `Quick
+              test_loopback_mux_probe_refused;
           ] );
+      ( "handshake",
+        [
+          Alcotest.test_case "refused hello is final" `Quick
+            test_refused_hello_is_final;
+          Alcotest.test_case "other version refused on every path" `Quick
+            test_other_version_refused_on_every_path;
+        ] );
     ]
