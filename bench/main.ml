@@ -1213,18 +1213,14 @@ let dissem () =
   note "  the publisher's payload; the gate pins delta_bytes < full_bytes and";
   note "  the rotation proves stale keys and licenses are dead"
 
-(* Crypto engines ----------------------------------------------------------- *)
+(* Crypto kernel ------------------------------------------------------------ *)
 
-(* Reference vs fast engine over the same published containers: the fast
-   engine (bitsliced DES, batched Merkle verification) must produce
-   byte-identical output and cost counters — checked here, hard — and win
-   on wall-clock for the DES schemes. The gate pins [fast <= reference]
-   per scheme row and a >= 4x speedup on the raw positional-ECB
-   full-document decrypt (the bitsliced kernel with nothing else in the
-   way). All recorded integers are deterministic. *)
+(* The scalar 3DES cipher against the bitsliced kernel every session
+   decrypts with, on a whole-payload positional-ECB decrypt: pure DES, with
+   nothing else in the way. The gate pins a >= 4x speedup on this row; the
+   recorded byte count is deterministic. *)
 let crypto () =
-  banner "Crypto engines: reference vs fast (bitsliced DES, batched Merkle)";
-  let module Engine = Xmlac_crypto.Engine in
+  banner "Crypto kernel: scalar vs bitsliced 3DES";
   let module Modes = Xmlac_crypto.Modes in
   let key = config.Session.key in
   let payload =
@@ -1241,29 +1237,26 @@ let crypto () =
     done;
     !best
   in
-  (* the kernel row: whole-payload positional-ECB decrypt, pure DES *)
   let padded =
     let n = String.length payload in
     payload ^ String.make (((n + 7) / 8 * 8) - n) '\000'
   in
-  let ct =
-    Modes.positional_encrypt (Modes.of_triple_des key) ~base:0 padded
-  in
+  let scalar = Modes.of_triple_des key in
+  let ct = Modes.positional_encrypt scalar ~base:0 padded in
   let dst = Bytes.create (String.length ct) in
-  let kernel engine =
-    let c = Engine.cipher engine key in
+  let time_decrypt c =
     time_best (fun () ->
         Modes.positional_decrypt_into c ~base:0 ~src:ct ~src_pos:0 ~dst
           ~dst_pos:0 ~len:(String.length ct))
   in
-  let t_ref = kernel Engine.Reference in
+  let t_ref = time_decrypt scalar in
   let ref_out = Bytes.to_string dst in
-  let t_fast = kernel Engine.Fast in
+  let t_fast = time_decrypt (Modes.of_triple_des_fast key) in
   if ref_out <> Bytes.to_string dst then
-    failwith "crypto: engines disagree on the kernel decrypt";
+    failwith "crypto: kernel and scalar cipher disagree";
   if ref_out <> padded then failwith "crypto: kernel decrypt is wrong";
   Printf.printf
-    "  kernel positional-ECB %4d KB   reference %8.4fs   fast %8.4fs  (%.1fx)\n"
+    "  kernel positional-ECB %4d KB   scalar %8.4fs   bitsliced %8.4fs  (%.1fx)\n"
     (String.length ct / 1024)
     t_ref t_fast (t_ref /. t_fast);
   record ~name:"crypto_kernel" ~profile:"ecb_full_decrypt"
@@ -1273,93 +1266,7 @@ let crypto () =
         float "reference.wall_s" t_ref;
         float "fast.wall_s" t_fast;
         float "wall_speedup" (t_ref /. t_fast);
-      ];
-  (* per-scheme rows: full sequential read through the channel, integrity
-     verification on (except plain ECB, which carries no digests) *)
-  Printf.printf "  %-9s %12s %12s %9s %9s %7s\n" "scheme" "reference_s"
-    "fast_s" "speedup" "batched" "groups";
-  List.iter
-    (fun (sname, scheme) ->
-      let container =
-        Container.encrypt ~chunk_size:config.Session.chunk_size
-          ~fragment_size:config.Session.fragment_size ~scheme ~key payload
-      in
-      let verify = scheme <> Container.Ecb in
-      let read_all engine counters =
-        let source = Channel.source ~verify ~engine ~container ~key counters in
-        let len = source.Xmlac_skip_index.Decoder.length in
-        let buf = Buffer.create len in
-        let step = 16384 in
-        let rec go pos =
-          if pos < len then begin
-            Buffer.add_string buf
-              (source.Xmlac_skip_index.Decoder.read ~pos ~len:(min step (len - pos)));
-            go (pos + step)
-          end
-        in
-        go 0;
-        Buffer.contents buf
-      in
-      let run engine =
-        let counters = Channel.fresh_counters () in
-        let out = read_all engine counters in
-        let t =
-          time_best (fun () ->
-              ignore (read_all engine (Channel.fresh_counters ()) : string))
-        in
-        (out, counters, t)
-      in
-      let out_r, c_r, t_r = run Engine.Reference in
-      let out_f, c_f, t_f = run Engine.Fast in
-      if out_r <> out_f then
-        failwith (Printf.sprintf "crypto: engines disagree under %s" sname);
-      let model c =
-        Channel.
-          ( c.bytes_to_soe,
-            c.bytes_decrypted,
-            c.bytes_hashed,
-            c.blocks_decrypted,
-            c.digests_decrypted,
-            c.hashes_verified,
-            c.fragment_fetches,
-            c.chunk_fetches )
-      in
-      if model c_r <> model c_f then
-        failwith
-          (Printf.sprintf "crypto: cost counters diverge across engines (%s)"
-             sname);
-      Printf.printf "  %-9s %12.4f %12.4f %8.1fx %9d %7d\n" sname t_r t_f
-        (t_r /. t_f) c_f.Channel.engine_batched_blocks
-        c_f.Channel.engine_merkle_groups;
-      (* the AES row gets its own record name: both engines run the same
-         AES code, so no ordering is pinned on it *)
-      record
-        ~name:(if scheme = Container.Aes_ctr then "crypto_aes" else "crypto")
-        ~profile:sname
-        Metrics.
-          [
-            float "reference.wall_s" t_r;
-            float "fast.wall_s" t_f;
-            float "wall_speedup" (t_r /. t_f);
-            int "bytes_decrypted" c_r.Channel.bytes_decrypted;
-            int "blocks_decrypted" c_r.Channel.blocks_decrypted;
-            int "bytes_hashed" c_r.Channel.bytes_hashed;
-            int "hashes_verified" c_r.Channel.hashes_verified;
-            int "reference.engine.batched_blocks"
-              c_r.Channel.engine_batched_blocks;
-            int "fast.engine.batched_blocks" c_f.Channel.engine_batched_blocks;
-            int "fast.engine.merkle_groups" c_f.Channel.engine_merkle_groups;
-          ])
-    [
-      ("ecb", Container.Ecb);
-      ("cbc_sha", Container.Cbc_sha);
-      ("cbc_shac", Container.Cbc_shac);
-      ("ecb_mht", Container.Ecb_mht);
-      ("aes_ctr", Container.Aes_ctr);
-    ];
-  note "output and cost counters are byte-identical across engines (checked";
-  note "  hard above); the gate pins fast <= reference per DES row and >= 4x";
-  note "  on the kernel row — wall-clock is the only thing an engine changes"
+      ]
 
 (* Bechamel micro-benchmarks ------------------------------------------------ *)
 

@@ -122,24 +122,6 @@ let expect_scheme_arg =
            advertises SCHEME — guards against a terminal downgrading the \
            integrity scheme.")
 
-let engine_conv =
-  let parse s =
-    match Xmlac_crypto.Engine.of_string (String.lowercase_ascii s) with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-  in
-  Arg.conv (parse, fun ppf e -> Fmt.string ppf (Xmlac_crypto.Engine.to_string e))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Xmlac_crypto.Engine.default
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Crypto engine: $(b,reference) (default) or $(b,fast) (bitsliced \
-           DES, batched Merkle verification). Both produce byte-identical \
-           output and statistics; fast only changes wall-clock time.")
-
 let container_arg =
   Arg.(
     value
@@ -157,8 +139,8 @@ let container_arg =
    view, the
    license's fixed key for unlock. Returns the source, the scheme it
    speaks, the epoch, and the session to close when done. *)
-let open_source ?trace_id ?engine ~input ~remote ~container
-    ~expect_scheme ~key_for counters =
+let open_source ?trace_id ~input ~remote ~container ~expect_scheme ~key_for
+    counters =
   match remote with
   | Some addr_str ->
       let addr =
@@ -172,7 +154,7 @@ let open_source ?trace_id ?engine ~input ~remote ~container
       in
       let meta = Remote.metadata r in
       let epoch = meta.Wire.Protocol.key_epoch in
-      let source = Remote.source ?engine r ~key:(key_for epoch) counters in
+      let source = Remote.source r ~key:(key_for epoch) counters in
       (source, meta.Wire.Protocol.scheme, epoch, Some r)
   | None -> (
       match input with
@@ -181,7 +163,7 @@ let open_source ?trace_id ?engine ~input ~remote ~container
           let container = Container.of_bytes (read_file f) in
           let epoch = Container.key_epoch container in
           let source =
-            Channel.source ?engine ~container ~key:(key_for epoch) counters
+            Channel.source ~container ~key:(key_for epoch) counters
           in
           (source, Container.scheme container, epoch, None))
 
@@ -423,14 +405,13 @@ let view_cmd =
              wire.request spans (visible in the terminal's --trace file \
              and this run's --trace-out).")
   in
-  let run input pass remote container expect_scheme engine rules policy_file
-      query_str user dummy stats_flag trace_flag trace_out trace_id =
+  let run input pass remote container expect_scheme rules policy_file query_str
+      user dummy stats_flag trace_flag trace_out trace_id =
     let policy = assemble_policy ~rules ~policy_file ~user in
     let query = Option.map Xmlac_xpath.Parse.path query_str in
     let counters = Channel.fresh_counters () in
     let source, scheme, _epoch, remote_session =
-      open_source ?trace_id ~engine ~input ~remote ~container
-        ~expect_scheme
+      open_source ?trace_id ~input ~remote ~container ~expect_scheme
         ~key_for:(fun epoch -> key_of_passphrase ~epoch pass)
         counters
     in
@@ -516,7 +497,7 @@ let view_cmd =
        ~doc:"Evaluate an authorized view (and optional query) of a container.")
     Term.(
       const run $ input_opt_arg $ passphrase_arg $ remote_arg $ container_arg
-      $ expect_scheme_arg $ engine_arg $ rules_arg $ policy_file_arg
+      $ expect_scheme_arg $ rules_arg $ policy_file_arg
       $ query_arg $ user_arg $ dummy $ stats_flag $ trace_flag $ trace_out
       $ trace_id)
 
@@ -651,8 +632,8 @@ let unlock_cmd =
   let stats_flag =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print SOE cost statistics.")
   in
-  let run input remote container expect_scheme engine license_file soe_pass
-      stats_flag =
+  let run input remote container expect_scheme license_file soe_pass stats_flag
+      =
     match
       Xmlac_soe.License.unseal
         ~soe_key:(key_of_passphrase soe_pass)
@@ -664,7 +645,7 @@ let unlock_cmd =
     | Ok lic ->
         let counters = Channel.fresh_counters () in
         let source, scheme, container_epoch, remote_session =
-          open_source ~engine ~input ~remote ~container ~expect_scheme
+          open_source ~input ~remote ~container ~expect_scheme
             ~key_for:(fun _ -> Xmlac_soe.License.key lic)
             counters
         in
@@ -710,7 +691,7 @@ let unlock_cmd =
        ~doc:"Evaluate a container using a sealed license (rules + key).")
     Term.(
       const run $ input_opt_arg $ remote_arg $ container_arg
-      $ expect_scheme_arg $ engine_arg $ license_file $ soe_key_arg
+      $ expect_scheme_arg $ license_file $ soe_key_arg
       $ stats_flag)
 
 (* update --------------------------------------------------------------------- *)

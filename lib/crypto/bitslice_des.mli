@@ -1,11 +1,12 @@
 (** Bitsliced 3DES: 63 blocks per pass over 63-bit native-int lanes, with
-    machine-generated S-box circuits (see gen/). This is the fast engine's
-    DES kernel — byte-for-byte equal to {!Des.Triple.decrypt_block} and
-    {!Des.Triple.encrypt_block} applied blockwise, differential-tested in
-    the test suite. A pass does not depend on the direction: the schedule
-    decides it, so the same kernel decrypts on the SOE read side (through
-    {!Modes.of_triple_des_fast}) and encrypts on the publisher's write side
-    (through {!Modes.of_triple_des_fast_encrypt}). *)
+    machine-generated S-box circuits (see gen/). This is the DES kernel
+    every SOE session decrypts with — byte-for-byte equal to
+    {!Des.Triple.decrypt_block} and {!Des.Triple.encrypt_block} applied
+    blockwise, differential-tested in the test suite. A pass does not
+    depend on the direction: the schedule decides it, so the same kernel
+    decrypts on the SOE read side (through {!Modes.of_triple_des_fast}) and
+    encrypts on the publisher's write side (through
+    {!Modes.of_triple_des_fast_encrypt}). *)
 
 val blocks_per_pass : int
 (** 63 — one block per usable native-int lane bit. *)

@@ -1,24 +1,7 @@
-(* Engine selection: which implementations serve a session's decrypt and
-   verify work. [Reference] is the scalar, straight-off-the-spec path the
-   repo has always had; [Fast] swaps in the bitsliced DES kernel and
-   batched Merkle verification. The two are byte-for-byte interchangeable
-   — the differential suite and CI pin Fast ≡ Reference on every scheme —
-   so the choice is purely a performance knob. *)
+(* Every SOE session decrypts through the bitsliced kernel and verifies
+   Merkle roots in chunk groups; there is no second path to select. The
+   type stays only for the end-to-end benchmark's
+   [Channel.source_of_terminal ~engine:Fast] call, which the channel
+   ignores. *)
 
-type t = Reference | Fast
-
-let default = Reference
-
-let to_string = function Reference -> "reference" | Fast -> "fast"
-
-let of_string = function
-  | "reference" -> Some Reference
-  | "fast" -> Some Fast
-  | _ -> None
-
-let all = [ Reference; Fast ]
-
-let cipher t key =
-  match t with
-  | Reference -> Modes.of_triple_des key
-  | Fast -> Modes.of_triple_des_fast key
+type t = Fast

@@ -1,21 +1,7 @@
-(** Crypto engine selection — reference scalar kernels versus the fast
-    family (bitsliced DES, batched Merkle verification). Engines are
-    byte-for-byte interchangeable; the differential suite pins
-    [Fast ≡ Reference] over FIPS vectors and random corpora on every
-    scheme, so selecting [Fast] changes wall-clock only. *)
+(** The SOE's one crypto path, as a type. Every session decrypts through
+    the bitsliced 3DES kernel ({!Modes.of_triple_des_fast}) and verifies
+    Merkle roots once per chunk group ({!Merkle.root_from_group}). This
+    type stays only because the end-to-end benchmark passes [~engine:Fast]
+    to [Xmlac_soe.Channel.source_of_terminal], which ignores it. *)
 
-type t = Reference | Fast
-
-val default : t
-(** [Reference] — the fast engine is opt-in per session or tool run. *)
-
-val to_string : t -> string
-(** ["reference"] / ["fast"] — the spelling the CLI, metrics prefixes and
-    bench records use. *)
-
-val of_string : string -> t option
-val all : t list
-
-val cipher : t -> Des.Triple.key -> Modes.cipher
-(** The 3DES cipher this engine backs sessions with:
-    {!Modes.of_triple_des} or {!Modes.of_triple_des_fast}. *)
+type t = Fast

@@ -69,3 +69,18 @@ let root_from_cover ~leaf_count ~known ~supplied =
               Option.map (fun r -> combine l r) (hash_of (level - 1) ((2 * index) + 1)))
   in
   hash_of (levels leaf_count) 0
+
+let root_from_group ~leaf_count group =
+  let known = List.map (fun (i, h, _) -> (i, h)) group in
+  let holds_known { level; index } =
+    let w = 1 lsl level in
+    List.exists (fun (i, _) -> i >= index * w && i < (index + 1) * w) known
+  in
+  let supplied =
+    List.concat_map
+      (fun (i, _, digests) ->
+        List.combine (sibling_cover ~leaf_count ~lo:i ~hi:i) digests)
+      group
+    |> List.filter (fun (n, _) -> not (holds_known n))
+  in
+  root_from_cover ~leaf_count ~known ~supplied

@@ -30,6 +30,19 @@ val root_from_cover :
 (** Recompute the root from the known leaf hashes [(index, hash)] and the
     terminal-supplied cover. [None] if the cover is incomplete. *)
 
+val root_from_group :
+  leaf_count:int -> (int * string * string list) list -> string option
+(** One recombination for several known leaves of a tree: each
+    [(index, leaf_hash, siblings)] carries a leaf and the digests of its
+    one-leaf cover, in [sibling_cover ~lo:index ~hi:index] order. Supplied
+    nodes whose subtree holds a known leaf are dropped before
+    {!root_from_cover} runs, so every known leaf is hashed into the root:
+    a leaf must not hide behind a digest the terminal supplied for another
+    member of the group. For a one-leaf group this is the per-path
+    {!root_from_cover}. [None] if the covers are incomplete.
+    @raise Invalid_argument if a sibling list's length differs from its
+    cover's. *)
+
 val node_hash : string array -> node -> string
 (** Hash of an arbitrary tree node, recomputed from all leaves (terminal
     side). *)

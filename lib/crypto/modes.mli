@@ -21,7 +21,7 @@ type cipher = {
       (** Optional batched raw-ECB-direction decrypt kernel. When present,
           the [_into] decrypt functions hand whole runs of blocks to it in
           one call and apply the mode XOR (CBC chaining, positional masks)
-          as a bytewise second pass — this is how the bitsliced DES engine
+          as a bytewise second pass — this is how the bitsliced DES kernel
           plugs in without the modes knowing about lanes. *)
   encrypt_blocks : (Bytes.t -> pos:int -> nblocks:int -> unit) option;
       (** Its encrypting twin, in place: {!positional_encrypt_in_place}
@@ -32,10 +32,12 @@ val of_des : Des.key -> cipher
 val of_triple_des : Des.Triple.key -> cipher
 
 val of_triple_des_fast : Des.Triple.key -> cipher
-(** Same cipher as {!of_triple_des} plus the bitsliced batch kernel
-    ({!Bitslice_des}) for long decrypt runs; short runs and encryption
-    stay on the scalar path. Byte-for-byte interchangeable with
-    {!of_triple_des} — the differential suite pins this. *)
+(** The cipher every SOE session decrypts with: {!of_triple_des} plus the
+    bitsliced batch kernel ({!Bitslice_des}) for decrypt runs of at least
+    {!batch_threshold} blocks; shorter runs and encryption stay on the
+    scalar path. Byte-for-byte interchangeable with {!of_triple_des},
+    which the kernel differential in the test suite uses as its
+    oracle. *)
 
 val of_triple_des_fast_encrypt : Des.Triple.key -> cipher
 (** The publisher's cipher: {!of_triple_des} plus the same kernel under an

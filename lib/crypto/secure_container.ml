@@ -691,8 +691,8 @@ let decrypt_chunk_cipher_into ?ctx t ~key ~chunk ~cipher ~dst =
       Aes.ctr_xor_into ak ~nonce ~src:cipher ~src_pos:0 ~dst ~dst_pos:0
         ~len:t.chunk_size ~stream_pos:(chunk * t.chunk_size)
   | _ -> (
-      (* an engine-selected cipher (e.g. the bitsliced one) can be passed
-         in so a session builds it once instead of per chunk *)
+      (* a session passes its bitsliced cipher in, built once instead of
+         per chunk *)
       let c = match ctx with Some c -> c | None -> Modes.of_triple_des key in
       match t.scheme with
       | Ecb | Ecb_mht ->

@@ -234,8 +234,9 @@ val decrypt_chunk_cipher_into :
     into the first [chunk_size t] bytes of [dst] without allocating a
     result string, so a session can reuse one plaintext buffer per chunk.
     The optional [?ctx] cipher context (for the DES-block schemes) lets a
-    session pass an engine-selected cipher — e.g. the bitsliced fast one —
-    built once instead of per chunk; it must wrap the same [key].
+    session pass the cipher it built once — the bitsliced
+    {!Modes.of_triple_des_fast} — instead of a scalar one per chunk; it
+    must wrap the same [key].
     @raise Invalid_argument if [dst] is smaller than [chunk_size t]. *)
 
 val decrypt_fragment :

@@ -133,15 +133,11 @@ let orderings = function
         le "wire.payload_bytes" "channel.bytes_to_soe";
         le "channel.bytes_to_soe" "wire.payload_bytes";
       ]
-  | "crypto" ->
-      (* the fast engine must not lose to the reference one on any DES
-         scheme (the AES rows live under "crypto_aes" — both engines run
-         the same AES code, so no ordering is pinned there) *)
-      [ le ~slack:1.05 "fast.wall_s" "reference.wall_s" ]
   | "crypto_kernel" ->
-      (* slack < 1 inverts into a floor: fast must finish the raw
-         positional-ECB full-document decrypt in at most a quarter of the
-         reference time — the bitsliced kernel's >= 4x claim, gated *)
+      (* slack < 1 inverts into a floor: the bitsliced kernel ("fast") must
+         finish the raw positional-ECB full-document decrypt in at most a
+         quarter of the scalar cipher's ("reference") time — its >= 4x
+         claim, gated *)
       [ le ~slack:0.25 "fast.wall_s" "reference.wall_s" ]
   | _ -> []
 

@@ -2,7 +2,6 @@ module C = Xmlac_crypto.Secure_container
 module Merkle = Xmlac_crypto.Merkle
 module Sha1 = Xmlac_crypto.Sha1
 module Modes = Xmlac_crypto.Modes
-module Engine = Xmlac_crypto.Engine
 
 type counters = {
   mutable bytes_to_soe : int;
@@ -204,8 +203,8 @@ type frag_unit = {
   mutable fu_ext : int; (* aligned lo of the extension *)
   mutable fu_state : string; (* imported SHA-1 mid-state (verify) *)
   mutable fu_digest : string; (* expected chunk digest (verify) *)
-  mutable fu_leaf : string; (* computed leaf hash (fast engine: verdict is
-                               grouped per chunk after the compute phase) *)
+  mutable fu_leaf : string; (* computed leaf hash; the verdict is grouped
+                               per chunk after the compute phase *)
   mutable fu_new_blocks : int;
   mutable fu_batched : int; (* blocks decrypted through the batch kernel *)
   mutable fu_ok : bool;
@@ -270,8 +269,13 @@ let rec split_windows lst =
       let w, rest = take window_units [] lst in
       w :: split_windows rest
 
-let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
-    ?(cache_chunks = 1) ?(engine = Engine.default) ~terminal ~key counters =
+(* SOE-side cache capacities, at the paper's smart-card scale: 8
+   fragments is about a 2 KB working set, and one decrypted chunk is its
+   model of chunk-at-a-time CBC *)
+let frag_cache_capacity = 8
+let chunk_cache_capacity = 1
+
+let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
   let container = terminal.t_container in
   let scheme = C.scheme container in
   let verify_requested = verify in
@@ -282,15 +286,12 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
   let frag_size = C.fragment_size container in
   let frags_per_chunk = C.fragments_per_chunk container in
   let payload_len = C.payload_length container in
-  let cipher = Engine.cipher engine key in
   (* one key schedule per source, not per decrypted block *)
-  let fast = engine = Engine.Fast in
+  let cipher = Modes.of_triple_des_fast key in
   (* did a positional/CBC decrypt of [nblocks] hit the batch kernel? pure
-     arithmetic over the engine choice, so the engine.* counters stay
+     arithmetic over run lengths, so the engine.* counters stay
      deterministic *)
-  let run_batched nblocks =
-    cipher.Modes.decrypt_blocks <> None && nblocks >= Modes.batch_threshold
-  in
+  let run_batched nblocks = nblocks >= Modes.batch_threshold in
   let cipher_block = match scheme with C.Aes_ctr -> 16 | _ -> 8 in
   let digest_blob_bytes = C.digest_blob_size_for scheme in
   let tree_levels =
@@ -301,10 +302,10 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
      record. All cache operations happen in the fetch phase, in unit order,
      so hit/miss/evicted depend only on the read sequence. *)
   let frag_cache : (int * int, frag_entry) Lru.t =
-    Lru.create ~capacity:cache_fragments ~stats:counters.cache
+    Lru.create ~capacity:frag_cache_capacity ~stats:counters.cache
   in
   let chunk_cache : (int, chunk_entry) Lru.t =
-    Lru.create ~capacity:cache_chunks ~stats:counters.cache
+    Lru.create ~capacity:chunk_cache_capacity ~stats:counters.cache
   in
   let digest_cache : (int, string) Lru.t =
     Lru.create ~capacity:1 ~stats:counters.cache
@@ -499,9 +500,10 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
       !needed
     end
   in
-  (* per-unit work: verify the extended suffix against the chunk digest,
-     decrypt the blocks covering the requested range. Touches only this
-     unit's entry; all counter charges wait for the commit phase. *)
+  (* per-unit work: hash the extended suffix into its Merkle leaf, decrypt
+     the blocks covering the requested range. Touches only this unit's
+     entry; the root check waits for the window's chunk groups, all
+     counter charges for the commit phase. *)
   let compute_frag u =
     let t0 = Xmlac_obs.Span.now () in
     let e = u.fu_entry in
@@ -515,36 +517,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
       Sha1.feed_sub ctx
         (Bytes.unsafe_to_string e.fe_cipher)
         ~pos:u.fu_ext ~len:(frag_size - u.fu_ext);
-      let leaf = Sha1.finalize ctx in
-      if fast then
-        (* batched Merkle: keep the leaf; the window groups all leaves of a
-           chunk into one root recombination after the compute phase *)
-        u.fu_leaf <- leaf
-      else begin
-        let cover =
-          Merkle.sibling_cover ~leaf_count:frags_per_chunk ~lo:u.fu_frag
-            ~hi:u.fu_frag
-        in
-        let digests =
-          match e.siblings with Some ds -> ds | None -> assert false
-        in
-        let supplied = List.combine cover digests in
-        let root =
-          match
-            Merkle.root_from_cover ~leaf_count:frags_per_chunk
-              ~known:[ (u.fu_frag, leaf) ]
-              ~supplied
-          with
-          | Some r -> r
-          | None -> raise (C.Integrity_failure "incomplete Merkle cover")
-        in
-        (* constant-time: the sealed root derives from the key, the digest
-           came from the untrusted terminal *)
-        u.fu_ok <-
-          Xmlac_crypto.Ct.equal
-            (C.seal_root container ~chunk:u.fu_chunk ~root)
-            u.fu_digest
-      end
+      u.fu_leaf <- Sha1.finalize ctx
     end;
     (* decrypt each maximal run of still-encrypted blocks in one call, so
        whole-fragment extensions (32 blocks) reach the bitsliced kernel
@@ -572,48 +545,31 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     done;
     u.fu_wall <- Xmlac_obs.Span.now () -. t0
   in
-  (* Batched Merkle verification (fast engine): one root-path recombination
-     per distinct chunk in the window. All the window's computed leaves of
-     a chunk go in as known nodes; the union of their sibling covers backs
-     the rest of the tree, minus any supplied node whose subtree contains a
-     known leaf — those must be recomputed from the leaves or a tampered
-     fragment could hide behind its own fetched cover. Runs between compute
-     and commit, so verdicts are committed in unit order. *)
-  let node_covers_known knowns (n : Merkle.node) =
-    let w = 1 lsl n.Merkle.level in
-    List.exists
-      (fun f -> f >= n.Merkle.index * w && f < (n.Merkle.index + 1) * w)
-      knowns
-  in
+  (* Batched Merkle verification: one root recombination per distinct
+     chunk in the window, over all the window's computed leaves of that
+     chunk and their sibling digests ([Merkle.root_from_group] keeps a
+     tampered leaf from hiding behind another member's cover). Runs
+     between compute and commit, so verdicts are committed in unit
+     order. *)
   let verify_frag_group us =
     match us with
     | [] -> ()
     | u0 :: _ ->
-        let knowns = List.map (fun u -> u.fu_frag) us in
-        let known = List.map (fun u -> (u.fu_frag, u.fu_leaf)) us in
-        let supplied =
-          List.concat_map
+        let group =
+          List.map
             (fun u ->
-              let cover =
-                Merkle.sibling_cover ~leaf_count:frags_per_chunk ~lo:u.fu_frag
-                  ~hi:u.fu_frag
-              in
-              let ds =
-                match u.fu_entry.siblings with
-                | Some ds -> ds
-                | None -> assert false
-              in
-              List.combine cover ds)
+              match u.fu_entry.siblings with
+              | Some ds -> (u.fu_frag, u.fu_leaf, ds)
+              | None -> assert false)
             us
-          |> List.filter (fun (n, _) -> not (node_covers_known knowns n))
         in
         let root =
-          match
-            Merkle.root_from_cover ~leaf_count:frags_per_chunk ~known ~supplied
-          with
+          match Merkle.root_from_group ~leaf_count:frags_per_chunk group with
           | Some r -> r
           | None -> raise (C.Integrity_failure "incomplete Merkle cover")
         in
+        (* constant-time: the sealed root derives from the key, the digest
+           came from the untrusted terminal *)
         let ok =
           Xmlac_crypto.Ct.equal
             (C.seal_root container ~chunk:u0.fu_chunk ~root)
@@ -623,24 +579,11 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
         counters.engine_merkle_groups <- counters.engine_merkle_groups + 1
   in
   let verify_frag_groups units =
-    let order = ref [] in
-    let by_chunk : (int, frag_unit list) Hashtbl.t = Hashtbl.create 4 in
-    List.iter
-      (fun u ->
-        if u.fu_did_ext then begin
-          if not (Hashtbl.mem by_chunk u.fu_chunk) then
-            order := u.fu_chunk :: !order;
-          let prev =
-            match Hashtbl.find_opt by_chunk u.fu_chunk with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace by_chunk u.fu_chunk (u :: prev)
-        end)
-      units;
-    List.iter
-      (fun chunk -> verify_frag_group (List.rev (Hashtbl.find by_chunk chunk)))
-      (List.rev !order)
+    let extended = List.filter (fun u -> u.fu_did_ext) units in
+    List.sort_uniq compare (List.map (fun u -> u.fu_chunk) extended)
+    |> List.iter (fun chunk ->
+           verify_frag_group
+             (List.filter (fun u -> u.fu_chunk = chunk) extended))
   in
   let commit_frag out u =
     let e = u.fu_entry in
@@ -691,7 +634,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     phase "channel.fetch";
     List.iter (fun u -> if frag_needs_compute u then compute_frag u) units;
     phase "channel.compute";
-    if fast && verify then verify_frag_groups units;
+    if verify then verify_frag_groups units;
     List.iter (commit_frag out) units;
     phase "channel.commit"
   in
@@ -805,7 +748,7 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
     let e = u.cu_entry in
     if u.cu_fresh then begin
       (* validates the ciphertext size before decrypting; [ctx] is the
-         engine-selected cipher (unused by the AES-CTR scheme) *)
+         session's kernel cipher (unused by the AES-CTR scheme) *)
       C.decrypt_chunk_cipher_into ~ctx:cipher container ~key ~chunk:u.cu_chunk
         ~cipher:u.cu_cipher ~dst:e.ce_plain;
       (match scheme with
@@ -937,7 +880,5 @@ let source_of_terminal ?(verify = true) ?(cache_fragments = 8)
   in
   { Xmlac_skip_index.Decoder.read; length = payload_len }
 
-let source ?verify ?cache_fragments ?cache_chunks ?engine ~container ~key
-    counters =
-  source_of_terminal ?verify ?cache_fragments ?cache_chunks ?engine
-    ~terminal:(local_terminal container) ~key counters
+let source ?verify ~container ~key counters =
+  source_of_terminal ?verify ~terminal:(local_terminal container) ~key counters

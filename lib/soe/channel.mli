@@ -17,9 +17,9 @@
     phases, all on the calling domain: {e plan} (predict the window's
     terminal fetches and issue them as one batched round trip, when the
     terminal supports it), {e fetch} (all cache operations and byte
-    accounting, in unit order), {e compute} (hashing, Merkle reconstruction
-    and block decryption, per unit in order; the first failing unit raises),
-    and {e commit} (verdicts, counter charges and output delivery, again in
+    accounting, in unit order), {e compute} (hashing and block decryption
+    per unit in order, then one Merkle reconstruction per chunk; the first
+    failing unit raises), and {e commit} (verdicts, counter charges and output delivery, again in
     unit order).
 
     Every exchange is tallied in {!counters}; the {!Cost_model} turns the
@@ -38,12 +38,13 @@ type counters = {
   mutable fragment_fetches : int;
   mutable chunk_fetches : int;
   mutable engine_batched_blocks : int;
-      (** blocks decrypted through the fast engine's batch kernel — 0 under
-          the reference engine; deterministic like all other counters,
-          because batching depends only on run lengths *)
+      (** blocks decrypted through the bitsliced kernel, in runs of at
+          least {!Xmlac_crypto.Modes.batch_threshold} blocks (0 under
+          AES-CTR); deterministic like all other counters, because
+          batching depends only on run lengths *)
   mutable engine_merkle_groups : int;
-      (** chunk-grouped Merkle recombinations the fast engine performed in
-          place of per-fragment root walks (0 under reference) *)
+      (** chunk-grouped Merkle recombinations: one per chunk with extended
+          fragments in a window (ECB-MHT only) *)
   mutable verify_requested : bool;  (** what the caller asked for *)
   mutable verify_active : bool;
       (** what actually ran: [false] under ECB even when requested, since
@@ -122,10 +123,13 @@ val local_terminal : Xmlac_crypto.Secure_container.t -> terminal
     caches freely). [fetch_many] is [None] — there is no round trip to
     save. *)
 
+val frag_cache_capacity : int
+(** Fragments the SOE-side fragment cache holds: 8, about a 2 KB working
+    set, the paper's smart-card scale. The CBC schemes' chunk cache holds
+    one decrypted chunk, the paper's model of chunk-at-a-time CBC. *)
+
 val source_of_terminal :
   ?verify:bool ->
-  ?cache_fragments:int ->
-  ?cache_chunks:int ->
   ?engine:Xmlac_crypto.Engine.t ->
   terminal:terminal ->
   key:Xmlac_crypto.Des.Triple.key ->
@@ -133,20 +137,16 @@ val source_of_terminal :
   Xmlac_skip_index.Decoder.source
 (** A byte source over the terminal's decrypted payload. [verify] defaults
     to true (forced to false for the ECB scheme, which carries no digests —
-    recorded in [counters.verify_active]). [cache_fragments] bounds the
-    SOE-side fragment cache (default 8 fragments ≈ a 2 KB working set, the
-    paper's smart-card scale); [cache_chunks] the decrypted-chunk cache for
-    the CBC schemes (default 1, the paper's model of chunk-at-a-time CBC).
+    recorded in [counters.verify_active]). [engine] is ignored: it stays
+    only for the end-to-end benchmark's call.
 
-    [engine] (default {!Xmlac_crypto.Engine.Reference}) selects the crypto
-    kernels: [Fast] decrypts block runs at or above
-    {!Xmlac_crypto.Modes.batch_threshold} through the bitsliced DES kernel
-    and verifies Merkle roots once per window chunk-group instead of once
-    per fragment. Delivered bytes and the cost-model counters are
-    byte-identical across engines (pinned by the differential suite); only
-    wall-clock and the [engine.*] counters change. Under [Fast], a Merkle
-    mismatch is attributed to the first extended fragment of the failing
-    chunk's window group rather than the precise fragment.
+    Block runs at or above {!Xmlac_crypto.Modes.batch_threshold} decrypt
+    through the bitsliced DES kernel ({!Xmlac_crypto.Modes.of_triple_des_fast});
+    shorter runs take its scalar path. Under ECB-MHT each window verifies
+    one Merkle root per chunk it extends, over all of that chunk's extended
+    fragments ({!Xmlac_crypto.Merkle.root_from_group}), so a mismatch is
+    attributed to the first extended fragment of the failing chunk's
+    window group rather than the precise fragment.
 
     After an [Integrity_failure] the source is poisoned — a failed
     verification aborts the session, it is not a recoverable read error.
@@ -163,9 +163,6 @@ val source_of_terminal :
 
 val source :
   ?verify:bool ->
-  ?cache_fragments:int ->
-  ?cache_chunks:int ->
-  ?engine:Xmlac_crypto.Engine.t ->
   container:Xmlac_crypto.Secure_container.t ->
   key:Xmlac_crypto.Des.Triple.key ->
   counters ->

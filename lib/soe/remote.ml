@@ -132,8 +132,7 @@ let trace_granted t = Wire.Client.trace_granted t.client
 let trace_id t = Wire.Client.trace t.client
 let fetch_stats t = Wire.Client.fetch_stats t.client
 
-let source ?verify ?cache_fragments ?cache_chunks ?engine t ~key counters =
-  Channel.source_of_terminal ?verify ?cache_fragments ?cache_chunks ?engine
-    ~terminal:t.terminal ~key counters
+let source ?verify t ~key counters =
+  Channel.source_of_terminal ?verify ~terminal:t.terminal ~key counters
 
 let close t = Wire.Client.close t.client

@@ -48,9 +48,6 @@ val wire_stats : t -> Xmlac_wire.Stats.t
 
 val source :
   ?verify:bool ->
-  ?cache_fragments:int ->
-  ?cache_chunks:int ->
-  ?engine:Xmlac_crypto.Engine.t ->
   t ->
   key:Xmlac_crypto.Des.Triple.key ->
   Channel.counters ->

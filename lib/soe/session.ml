@@ -12,18 +12,16 @@ type config = {
   chunk_size : int;
   fragment_size : int;
   key : Xmlac_crypto.Des.Triple.key;
-  engine : Xmlac_crypto.Engine.t;
 }
 
 let default_config ?(context = Cost_model.Hardware)
-    ?(scheme = Container.Ecb_mht) ?(engine = Xmlac_crypto.Engine.default) () =
+    ?(scheme = Container.Ecb_mht) () =
   {
     cost = Cost_model.of_context context;
     scheme;
     chunk_size = 2048;
     fragment_size = 256;
     key = Xmlac_crypto.Des.Triple.key_of_string "xmlac-demo-24-byte-key!!";
-    engine;
   }
 
 type published = {
@@ -134,8 +132,8 @@ let evaluate ?query ?(verify = true) ?strategy ?options ?provenance config
     | None -> Layout.to_string published.layout
   in
   let source =
-    Channel.source ~verify ~engine:config.engine ~container:published.container
-      ~key:config.key counters
+    Channel.source ~verify ~container:published.container ~key:config.key
+      counters
   in
   run_measurement ?query ?options ?provenance ~cost:config.cost ~strategy
     ~wire:None ~counters ~source policy
@@ -144,10 +142,7 @@ let evaluate_remote ?query ?(verify = true) ?(strategy = "REMOTE") ?options
     ?provenance config remote policy =
   let counters = Channel.fresh_counters () in
   let run () =
-    let source =
-      Remote.source ~verify ~engine:config.engine remote ~key:config.key
-        counters
-    in
+    let source = Remote.source ~verify remote ~key:config.key counters in
     run_measurement ?query ?options ?provenance ~cost:config.cost ~strategy
       ~wire:(Some (Remote.wire_stats remote)) ~counters ~source policy
   in

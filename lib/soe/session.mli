@@ -16,21 +16,18 @@ type config = {
   chunk_size : int;
   fragment_size : int;
   key : Xmlac_crypto.Des.Triple.key;
-  engine : Xmlac_crypto.Engine.t;
-      (** crypto kernels the session's channel runs on; [Reference] unless
-          opted into [Fast] (bitsliced DES + batched Merkle). Engines are
-          byte-for-byte interchangeable — output, counters and cost figures
-          are identical; only wall-clock changes. *)
+      (** the document key; the session's channel decrypts with it through
+          the bitsliced 3DES kernel and verifies Merkle roots in chunk
+          groups (see {!Channel.source_of_terminal}) *)
 }
 
 val default_config :
   ?context:Cost_model.context ->
   ?scheme:Xmlac_crypto.Secure_container.scheme ->
-  ?engine:Xmlac_crypto.Engine.t ->
   unit ->
   config
 (** Hardware smart-card context, ECB-MHT integrity, 2 KB chunks, 256 B
-    fragments, a fixed demo key, reference engine. *)
+    fragments, a fixed demo key. *)
 
 type published = {
   layout : Xmlac_skip_index.Layout.t;

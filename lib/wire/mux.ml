@@ -18,10 +18,20 @@
    in-process loopback never grants it), fails the connect with a
    [Handshake] error. *)
 
-type inbox = { q : string Queue.t; mutable cur : string; mutable cpos : int }
+type inbox = {
+  q : string Queue.t;
+  mutable cur : string;
+  mutable cpos : int;
+  mutable bye_answered : bool;
+      (* the terminal answered a Bye of this session: its binding is
+         retired, so closing the transport needs no Bye of its own *)
+}
 
-let inbox_make () = { q = Queue.create (); cur = ""; cpos = 0 }
+let inbox_make () =
+  { q = Queue.create (); cur = ""; cpos = 0; bye_answered = false }
+
 let inbox_add ib s = Queue.push s ib.q
+let bye_ok = Protocol.encode_response Protocol.Bye_ok
 
 let inbox_take ib buf off len =
   if ib.cpos >= String.length ib.cur then (
@@ -110,6 +120,7 @@ let rec await_bytes (conn : conn) sid ib buf off len =
               Mutex.lock conn.m;
               match Hashtbl.find_opt conn.inboxes sid' with
               | Some ib' ->
+                  if String.equal payload bye_ok then ib'.bye_answered <- true;
                   (* re-frame for the session's ordinary Frame.read *)
                   inbox_add ib' (Frame.encode payload)
               | None -> () (* session retired locally: drop the reply *))
@@ -182,17 +193,19 @@ let session_transport (conn : conn) =
   in
   let close () =
     Mutex.lock conn.m;
-    let live = Hashtbl.mem conn.inboxes sid && conn.dead = None in
+    let live =
+      Hashtbl.mem conn.inboxes sid && conn.dead = None && not ib.bye_answered
+    in
     Hashtbl.remove conn.inboxes sid;
     Condition.broadcast conn.resume;
     Mutex.unlock conn.m;
     (* Best-effort Bye so the terminal retires this sid's per-connection
        binding: the client's retry path closes a session transport without
        a protocol Bye, and a terminal that only evicts on Bye would creep
-       toward its per-connection session cap under churn. Our inbox is
-       already gone, so the Bye_ok reply (including the duplicate one
-       after [Client.close]'s own Bye round trip) is dropped by the
-       demultiplexer. *)
+       toward its per-connection session cap under churn. A session whose
+       Bye was already answered ([Client.close]'s round trip) is retired
+       and gets none. Our inbox is already gone, so the Bye_ok reply is
+       dropped by the demultiplexer. *)
     if live then
       try
         let frame =

@@ -421,6 +421,10 @@ let with_server_span ~trace ~client_span ~sid ~kind f =
 type session = {
   mutable bound : entry option;  (* container of the last successful hello *)
   mutable trace : string;  (* trace id its server spans link to; "" = none *)
+  mutable counted : bool;
+      (* telemetry has counted it, which happens at its first data request
+         after a hello: a mux probe or an admin-plane hello is no SOE
+         session *)
 }
 
 type framing =
@@ -447,7 +451,7 @@ let make_conn ?(max_mux_sessions = max_mux_sessions_default) t ~local framing =
     tel = Telemetry.acc t.telemetry;
     local;
     framing;
-    plain = { bound = default_entry t; trace = "" };
+    plain = { bound = default_entry t; trace = ""; counted = false };
     sessions = Hashtbl.create 8;
     max_mux_sessions;
   }
@@ -473,6 +477,10 @@ let serve_data c s ~sid ~client_span req =
   let encoded = Protocol.encode_response resp in
   (match s.bound with
   | Some e ->
+      if not s.counted then begin
+        s.counted <- true;
+        Telemetry.session c.tel ~tenant:e.e_id ~generation:e.gen
+      end;
       Telemetry.record c.tel ~tenant:e.e_id
         ~ok:(match resp with Protocol.Err _ -> false | _ -> true)
         ~reply_bytes:(String.length encoded) ~cache_hits:tally.hits
@@ -543,8 +551,8 @@ let serve_frame c ~sid ~client_span payload =
               end
             in
             s.bound <- Some e;
+            s.counted <- false;
             if grant_trace then s.trace <- trace;
-            Telemetry.session c.tel ~tenant:e.e_id ~generation:e.gen;
             if grant_mux && c.framing = Plain then
               c.framing <- Muxed { traced = s.trace <> "" }
         | None -> ());

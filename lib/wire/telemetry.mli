@@ -47,7 +47,8 @@ val acc : t -> acc
     exactly one thread may use it. *)
 
 val session : acc -> tenant:string -> generation:int -> unit
-(** A hello bound a session to [tenant] at publication [generation]. *)
+(** A session bound to [tenant] at publication [generation] made its first
+    data request. *)
 
 val record :
   acc ->

@@ -8,8 +8,8 @@ let string_t = Alcotest.string
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ?print gen prop)
 
 (* SHA-1 ------------------------------------------------------------------ *)
 
@@ -253,7 +253,7 @@ let into_agrees name decrypt_into reference =
       && Bytes.sub_string dst 0 dst_off = String.make dst_off '\xAA'
       && Bytes.sub_string dst (dst_off + len) 5 = String.make 5 '\xAA')
 
-(* Run the slice-equivalence property on both engines: with the fast
+(* Run the slice-equivalence property on both ciphers: with the fast
    cipher, slices of >= 16 blocks route through the bitsliced kernel at
    arbitrary src/dst offsets, the reference decrypts stay scalar, and the
    two must still agree bit-for-bit. *)
@@ -304,7 +304,7 @@ let test_into_rejects_misuse () =
            ~dst:(Bytes.create 32) ~dst_pos:0 ~len:8))
 
 let test_into_zero_length () =
-  (* len = 0 is a valid no-op on every mode and both engines *)
+  (* len = 0 is a valid no-op on every mode and both ciphers *)
   List.iter
     (fun c ->
       let dst = Bytes.make 16 '\xAA' in
@@ -645,6 +645,96 @@ let merkle_cover_minimal =
       let cover = Merkle.sibling_cover ~leaf_count:32 ~lo ~hi in
       List.length cover <= 2 * 5)
 
+(* Grouped recombination. A case is a tree of 1 to 32 leaves drawn from a
+   seed, a non-empty group of its leaves, the member whose leaf hash a
+   tamperer changes, and whether the sibling digests are the honest ones
+   or arbitrary bytes. *)
+let gen_merkle_group =
+  QCheck2.Gen.(
+    let* k = int_range 0 5 in
+    let m = 1 lsl k in
+    let* mask = list_repeat m bool in
+    let* forced = int_range 0 (m - 1) in
+    let* pick = int_range 0 (m - 1) in
+    let* seed = int_range 0 1_000_000 in
+    let* honest = bool in
+    let members =
+      List.filter (fun i -> i = forced || List.nth mask i) (List.init m Fun.id)
+    in
+    return
+      (m, members, List.nth members (pick mod List.length members), seed, honest))
+
+let print_merkle_group (m, members, tampered, seed, honest) =
+  Printf.sprintf "%d leaves, group [%s], tamper %d, seed %d, %s siblings" m
+    (String.concat ";" (List.map string_of_int members))
+    tampered seed
+    (if honest then "honest" else "arbitrary")
+
+let group_leaves m seed =
+  Array.init m (fun i -> Sha1.digest (Printf.sprintf "leaf-%d-%d" seed i))
+
+(* (index, leaf hash, sibling digests) for every member of [members] *)
+let merkle_group ~honest l m seed members =
+  List.map
+    (fun i ->
+      let siblings =
+        List.map
+          (fun (n : Merkle.node) ->
+            if honest then Merkle.node_hash l n
+            else
+              Sha1.digest
+                (Printf.sprintf "sibling-%d-%d-%d-%d" seed i n.level n.index))
+          (Merkle.sibling_cover ~leaf_count:m ~lo:i ~hi:i)
+      in
+      (i, l.(i), siblings))
+    members
+
+let merkle_group_honest =
+  qtest ~print:print_merkle_group
+    "grouped root of honest inputs = root of leaves" gen_merkle_group
+    (fun (m, members, _, seed, _) ->
+      let l = group_leaves m seed in
+      Merkle.root_from_group ~leaf_count:m
+        (merkle_group ~honest:true l m seed members)
+      = Some (Merkle.root_of_leaves l))
+
+(* the supplied siblings stay as they were, honest ones included: a
+   changed known leaf must still change the root. Without the filter a
+   sibling digest of another member would stand in for the changed leaf. *)
+let merkle_group_leaf_tamper =
+  qtest ~print:print_merkle_group "grouped root changes with any known leaf"
+    gen_merkle_group
+    (fun (m, members, tampered, seed, honest) ->
+      let l = group_leaves m seed in
+      let group = merkle_group ~honest l m seed members in
+      let forged =
+        List.map
+          (fun (i, h, ds) ->
+            if i = tampered then (i, Sha1.digest ("forged" ^ h), ds)
+            else (i, h, ds))
+          group
+      in
+      match
+        ( Merkle.root_from_group ~leaf_count:m group,
+          Merkle.root_from_group ~leaf_count:m forged )
+      with
+      | Some r, Some r' -> not (String.equal r r')
+      | _ -> false)
+
+let merkle_group_single_leaf =
+  qtest ~print:print_merkle_group "one-leaf group = per-path root"
+    gen_merkle_group (fun (m, _, i, seed, honest) ->
+      let l = group_leaves m seed in
+      let group = merkle_group ~honest l m seed [ i ] in
+      let supplied =
+        match group with
+        | [ (_, _, ds) ] ->
+            List.combine (Merkle.sibling_cover ~leaf_count:m ~lo:i ~hi:i) ds
+        | _ -> assert false
+      in
+      Merkle.root_from_group ~leaf_count:m group
+      = Merkle.root_from_cover ~leaf_count:m ~known:[ (i, l.(i)) ] ~supplied)
+
 (* Secure container ------------------------------------------------------- *)
 
 let payload n = String.init n (fun i -> Char.chr ((i * 131 + 7) mod 256))
@@ -944,6 +1034,9 @@ let () =
           Alcotest.test_case "all ranges verify" `Quick test_merkle_cover_verifies;
           Alcotest.test_case "forged leaf detected" `Quick test_merkle_detects_wrong_leaf;
           merkle_cover_minimal;
+          merkle_group_honest;
+          merkle_group_leaf_tamper;
+          merkle_group_single_leaf;
         ] );
       ( "container",
         scheme_suites

@@ -155,6 +155,93 @@ let test_cbc_sha_decrypts_whole_chunks () =
   check bool_t "ECB-MHT transfers less than the CBC schemes" true
     (mht.Channel.bytes_to_soe < shac.Channel.bytes_to_soe)
 
+(* Reading a whole container in wide sequential steps produces decrypt runs
+   far above [Modes.batch_threshold]: every DES scheme must route real work
+   through the bitsliced kernel, and ECB-MHT must verify in chunk groups. *)
+let test_bulk_reads_hit_the_kernel () =
+  let payload = payload 40_000 in
+  List.iter
+    (fun scheme ->
+      let name = Container.scheme_to_string scheme in
+      let verify = scheme <> Container.Ecb in
+      let container =
+        Container.encrypt ~chunk_size:2048 ~fragment_size:256 ~scheme ~key
+          payload
+      in
+      let counters = Channel.fresh_counters () in
+      let src = Channel.source ~verify ~container ~key counters in
+      let buf = Buffer.create (String.length payload) in
+      let open Xmlac_skip_index.Decoder in
+      let rec go pos =
+        if pos < src.length then begin
+          let len = min 8192 (src.length - pos) in
+          Buffer.add_string buf (src.read ~pos ~len);
+          go (pos + len)
+        end
+      in
+      go 0;
+      check Alcotest.string (name ^ ": bulk read roundtrips") payload
+        (Buffer.contents buf);
+      let batched = counters.Channel.engine_batched_blocks in
+      (match scheme with
+      | Container.Aes_ctr ->
+          check Alcotest.int (name ^ ": no DES kernel for AES") 0 batched
+      | _ ->
+          check bool_t (name ^ ": bitsliced kernel engaged") true (batched > 0));
+      let groups = counters.Channel.engine_merkle_groups in
+      match scheme with
+      | Container.Ecb_mht ->
+          check bool_t (name ^ ": grouped Merkle verification") true (groups > 0)
+      | _ -> check Alcotest.int (name ^ ": no Merkle groups") 0 groups)
+    Container.all_schemes
+
+(* The batched Merkle group check must keep the security contract: when a
+   whole chunk is read and verified in one grouped recombination, a
+   tampered fragment is detected no matter which fragment it is — no
+   fragment can hide behind another fragment's sibling cover. Each
+   tampered container is read twice: from a terminal that derives sibling
+   digests from what it serves, and from one that serves the untampered
+   container's siblings, so a fragment's honest leaf hash reaches the SOE
+   inside its neighbour's cover. *)
+let test_batched_verify_detects_tampering () =
+  let payload = String.init 12_000 (fun i -> Char.chr ((i * 131 + 7) mod 256)) in
+  List.iter
+    (fun scheme ->
+      let container =
+        Container.encrypt ~chunk_size:1024 ~fragment_size:128 ~scheme ~key
+          payload
+      in
+      let honest = Channel.local_terminal container in
+      (* one corrupted block inside each of chunk 1's eight fragments *)
+      for frag = 0 to 7 do
+        let block = (frag * 16) + (frag mod 16) in
+        let tampered =
+          Container.substitute_block container ~chunk:1 ~block
+            (String.make 8 'Z')
+        in
+        let served = Channel.local_terminal tampered in
+        List.iter
+          (fun (terminal, siblings) ->
+            let counters = Channel.fresh_counters () in
+            let src =
+              Channel.source_of_terminal ~verify:true ~terminal ~key counters
+            in
+            let open Xmlac_skip_index.Decoder in
+            match src.read ~pos:0 ~len:src.length with
+            | exception Container.Integrity_failure _ -> ()
+            | _ ->
+                Alcotest.failf
+                  "%s: tampered fragment %d not detected (%s siblings)"
+                  (Container.scheme_to_string scheme)
+                  frag siblings)
+          [
+            (served, "served");
+            ( { served with Channel.fetch_siblings = honest.Channel.fetch_siblings },
+              "honest" );
+          ]
+      done)
+    [ Container.Ecb_mht; Container.Cbc_sha; Container.Cbc_shac; Container.Aes_ctr ]
+
 (* Sessions --------------------------------------------------------------- *)
 
 let small_hospital = Xmlac_workload.Hospital.generate ~seed:7
@@ -302,18 +389,21 @@ let test_cache_eviction_costs_refetches () =
     Container.encrypt ~chunk_size:2048 ~fragment_size:256
       ~scheme:Container.Ecb_mht ~key p
   in
-  let run cache_fragments =
+  (* cycle five times through [n] whole fragments, 1 KB apart *)
+  let fetches n =
     let counters = Channel.fresh_counters () in
-    let src = Channel.source ~cache_fragments ~container ~key counters in
-    (* ping-pong between two far-apart windows *)
+    let src = Channel.source ~container ~key counters in
     for _ = 1 to 5 do
-      ignore (src.Decoder.read ~pos:0 ~len:256);
-      ignore (src.Decoder.read ~pos:8192 ~len:256)
+      for i = 0 to n - 1 do
+        ignore (src.Decoder.read ~pos:(i * 1024) ~len:256)
+      done
     done;
     counters.Channel.fragment_fetches
   in
-  check bool_t "a one-fragment cache refetches, a big cache does not" true
-    (run 1 > run 8)
+  check int_t "two fragments are fetched once each" 2 (fetches 2);
+  let n = Channel.frag_cache_capacity + 1 in
+  check bool_t "more fragments than the cache holds are refetched" true
+    (fetches n > n)
 
 let test_lwb_monotone_in_bytes () =
   let t n = (Session.lwb config ~authorized_bytes:n).Cost_model.total_s in
@@ -474,9 +564,7 @@ let test_identical_sessions_allocate_identically () =
   List.iter
     (fun scheme ->
       let name = Container.scheme_to_string scheme in
-      let config =
-        Session.default_config ~scheme ~engine:Xmlac_crypto.Engine.Fast ()
-      in
+      let config = Session.default_config ~scheme () in
       let published = Session.publish config ~layout:Layout.Tcsbr doc in
       let minor_words () =
         (Session.evaluate config published policy).Session.gc_minor_words
@@ -605,6 +693,10 @@ let () =
             Alcotest.test_case "tamper detected" `Quick test_channel_tamper_detected;
             Alcotest.test_case "plain ECB lacks detection" `Quick test_channel_ecb_has_no_detection;
             Alcotest.test_case "CBC decryption granularity" `Quick test_cbc_sha_decrypts_whole_chunks;
+            Alcotest.test_case "bulk reads hit the batched kernel" `Quick
+              test_bulk_reads_hit_the_kernel;
+            Alcotest.test_case "tampering detected through batched verify"
+              `Quick test_batched_verify_detects_tampering;
           ] );
       ( "session",
         [

@@ -1326,6 +1326,84 @@ let test_mux_close_is_final () =
           Alcotest.fail "closed endpoint opened a session"
       | exception Invalid_argument _ -> ())
 
+(* A connector whose transports copy every byte they write into
+   [written]. *)
+let tapped connector written () =
+  let tr = connector () in
+  Wire.Transport.make ~local:(Wire.Transport.local tr)
+    ~read:(Wire.Transport.read tr)
+    ~write:(fun data ->
+      Buffer.add_string written data;
+      Wire.Transport.write tr data)
+    ~close:(fun () -> Wire.Transport.close tr)
+    ~peer:(Wire.Transport.peer tr) ()
+
+(* The payloads of the frames in [written]. A mux frame splits like a plain
+   one whose payload opens with the u32 session id. *)
+let frames written =
+  let s = Buffer.contents written in
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else
+      let payload, next = Wire.Frame.split s ~off in
+      go next (payload :: acc)
+  in
+  go 0 []
+
+(* One mux session writes one frame per request its client counts: the
+   client's Bye round trip retires the session, so closing its transport
+   sends no second Bye. *)
+let test_mux_session_sends_one_bye () =
+  let published = publish_scheme Container.Ecb_mht in
+  with_fleet_server
+    [ ("doc", published.Session.container) ]
+    (fun _server connector ->
+      let written = Buffer.create 4096 in
+      let mux = Wire.Mux.connect (tapped connector written) in
+      let r = Remote.connect ~container:"doc" (Wire.Mux.session mux) in
+      let m =
+        Session.evaluate_remote (cfg Container.Ecb_mht) r Profiles.secretary
+      in
+      Remote.close r;
+      let requests = (wire_stats m).Wire.Stats.requests in
+      Wire.Mux.close mux;
+      match frames written with
+      | [] -> Alcotest.fail "the endpoint wrote no probe"
+      | _probe :: session_frames ->
+          check int_t "frames written = requests counted" requests
+            (List.length session_frames))
+
+(* Telemetry counts SOE sessions, not hellos: the endpoint's probe and the
+   admin-plane connection bind the default tenant but fetch no data. *)
+let test_mux_telemetry_counts_sessions () =
+  let published = publish_scheme Container.Ecb_mht in
+  let sessions (v : Wire.Telemetry.view) =
+    List.map
+      (fun (tv : Wire.Telemetry.tenant_view) ->
+        (tv.Wire.Telemetry.tv_id, tv.Wire.Telemetry.tv_sessions))
+      v.Wire.Telemetry.tenants
+  in
+  let one_session = Alcotest.(list (pair string int)) in
+  with_fleet_server
+    ~after:(fun server ->
+      check one_session "registry after the drain" [ ("doc", 1) ]
+        (sessions (Wire.Server.telemetry_snapshot server)))
+    [ ("doc", published.Session.container) ]
+    (fun _server connector ->
+      let mux = Wire.Mux.connect connector in
+      let r = Remote.connect ~container:"doc" (Wire.Mux.session mux) in
+      let (_ : Session.measurement) =
+        Session.evaluate_remote (cfg Container.Ecb_mht) r Profiles.secretary
+      in
+      Remote.close r;
+      let admin = Wire.Client.connect (Wire.Mux.session mux) in
+      let doc = Wire.Client.fetch_stats admin in
+      Wire.Client.close admin;
+      Wire.Mux.close mux;
+      match Wire.Telemetry.of_string doc with
+      | Ok v -> check one_session "stats frame" [ ("doc", 1) ] (sessions v)
+      | Error e -> Alcotest.failf "stats reply did not decode: %s" e)
+
 (* Session churn on one mux connection: closing a session transport
    without a protocol Bye (the shape of the client's retry-path [drop])
    must still retire the server-side binding — otherwise a long-lived
@@ -1475,6 +1553,10 @@ let () =
             Alcotest.test_case "session churn retires bindings" `Quick
               test_mux_session_churn;
             Alcotest.test_case "close is final" `Quick test_mux_close_is_final;
+            Alcotest.test_case "a session sends one Bye" `Quick
+              test_mux_session_sends_one_bye;
+            Alcotest.test_case "telemetry counts sessions, not hellos" `Quick
+              test_mux_telemetry_counts_sessions;
             Alcotest.test_case "loopback probe refused" `Quick
               test_loopback_mux_probe_refused;
           ] );
