@@ -11,7 +11,6 @@ and t =
 
 let tru = Const true
 let fls = Const false
-let of_bool b = Const b
 
 let counter = ref 0
 

@@ -16,7 +16,6 @@ type value = True | False | Unknown
 
 val tru : t
 val fls : t
-val of_bool : bool -> t
 
 val atom : unit -> atom
 (** A fresh unresolved atom. *)

@@ -1058,16 +1058,3 @@ let run_events ?query ?dummy_denied ?options ?on_deliver ?observer ?provenance
     ~policy events =
   run ?query ?dummy_denied ?options ?on_deliver ?observer ?provenance ~policy
     (Input.of_events events)
-
-let run_result ?query ?dummy_denied ?options ?on_deliver ?observer ?provenance
-    ~policy input =
-  match Policy.streaming_compatible policy with
-  | Error msg -> Error (Error.Policy_invalid msg)
-  | Ok () -> (
-      match
-        run ?query ?dummy_denied ?options ?on_deliver ?observer ?provenance
-          ~policy input
-      with
-      | r -> Ok r
-      | exception e -> (
-          match Error.of_exn e with Some err -> Error err | None -> raise e))

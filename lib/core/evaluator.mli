@@ -106,21 +106,6 @@ val run :
     with elements still open) — the typed rejection for a decoder whose
     byte stream was corrupted in a way that still decodes. *)
 
-val run_result :
-  ?query:Xmlac_xpath.Ast.t ->
-  ?dummy_denied:string ->
-  ?options:options ->
-  ?on_deliver:(seq:int -> Xmlac_xml.Event.t list -> unit) ->
-  ?observer:(observation -> unit) ->
-  ?provenance:Provenance.collector ->
-  policy:Policy.t ->
-  Input.t ->
-  (result, Error.t) Stdlib.result
-(** {!run} as a trust-boundary entry point: incompatible policies and
-    every classifiable exception of the layers below (malformed XML,
-    corrupt skip index, invalid stream) come back as a typed [Error].
-    Exceptions that indicate internal bugs still escape. *)
-
 val view_tree : result -> Xmlac_xml.Tree.t option
 (** The delivered events as a tree ([None] when nothing was delivered). *)
 

@@ -15,14 +15,6 @@ type cipher = {
       (* its in-place encrypting twin; mode XORs are applied first *)
 }
 
-let of_des k =
-  {
-    encrypt = Des.encrypt_block k;
-    decrypt = Des.decrypt_block k;
-    decrypt_blocks = None;
-    encrypt_blocks = None;
-  }
-
 let of_triple_des k =
   {
     encrypt = Des.Triple.encrypt_block k;

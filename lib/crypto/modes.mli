@@ -28,7 +28,6 @@ type cipher = {
           applies the positional masks first, then hands the run to it. *)
 }
 
-val of_des : Des.key -> cipher
 val of_triple_des : Des.Triple.key -> cipher
 
 val of_triple_des_fast : Des.Triple.key -> cipher

@@ -71,12 +71,7 @@ let digest_blob_size = 24 (* 20-byte SHA-1 padded to three DES blocks *)
 (* Per-scheme digest geometry. The DES schemes carry a SHA-1 digest padded
    to DES blocks; AES-CTR carries a SHA-256 digest raw (CTR needs no block
    alignment). Every size-dependent structure — wire frames, dissemination
-   deltas, channel cost counters — derives from these two functions. *)
-let digest_size_for = function
-  | Ecb -> 0
-  | Cbc_sha | Cbc_shac | Ecb_mht -> Sha1.digest_size
-  | Aes_ctr -> Sha256.digest_size
-
+   deltas, channel cost counters — derives from this function. *)
 let digest_blob_size_for = function
   | Ecb -> 0
   | Cbc_sha | Cbc_shac | Ecb_mht -> digest_blob_size
@@ -159,10 +154,6 @@ let fragment_leaf_hash_sub t ~chunk ~fragment ~cipher ~pos ~len =
   Sha1.feed ctx (be_bytes fragment 4);
   Sha1.feed_sub ctx cipher ~pos ~len;
   Sha1.finalize ctx
-
-let fragment_leaf_hash t ~chunk ~fragment ~cipher =
-  fragment_leaf_hash_sub t ~chunk ~fragment ~cipher ~pos:0
-    ~len:(String.length cipher)
 
 let seal_root t ~chunk ~root = chunk_payload_digest t ~chunk ~data:root
 
@@ -707,9 +698,6 @@ let decrypt_chunk_cipher ?ctx t ~key ~chunk ~cipher =
   let dst = Bytes.create t.chunk_size in
   decrypt_chunk_cipher_into ?ctx t ~key ~chunk ~cipher ~dst;
   Bytes.unsafe_to_string dst
-
-let decrypt_chunk t ~key i =
-  decrypt_chunk_cipher t ~key ~chunk:i ~cipher:t.chunks.(i)
 
 let decrypt_fragment t ~key ~chunk ~fragment ~cipher =
   match t.scheme with

@@ -32,10 +32,6 @@ val scheme_to_string : scheme -> string
 val scheme_of_string : string -> scheme option
 val all_schemes : scheme list
 
-val digest_size_for : scheme -> int
-(** Clear digest size: 0 for [Ecb], 20 (SHA-1) for the paper schemes, 32
-    (SHA-256) for [Aes_ctr]. *)
-
 val digest_blob_size_for : scheme -> int
 (** Encrypted digest blob size as serialized and sent over the wire: 0 for
     [Ecb], 24 (SHA-1 padded to DES blocks) for the paper schemes, 32 for
@@ -184,7 +180,8 @@ val substitute_block : t -> chunk:int -> block:int -> string -> t
 (** {2 SOE-side primitives (hold the key)} *)
 
 val decrypt_digest : t -> key:Des.Triple.key -> int -> string
-(** Decrypt the chunk digest of chunk [i] ([digest_size_for] bytes). *)
+(** Decrypt the chunk digest of chunk [i]: 20 bytes (SHA-1) under the
+    digest-bearing DES schemes, 32 (SHA-256) under [Aes_ctr]. *)
 
 val decrypt_digest_blob :
   scheme:scheme -> key:Des.Triple.key -> chunk:int -> string -> string
@@ -194,22 +191,17 @@ val decrypt_digest_blob :
 
 val expected_digest_of_plain : t -> chunk:int -> plain:string -> string
 val expected_digest_of_cipher : t -> chunk:int -> cipher:string -> string
-val fragment_leaf_hash : t -> chunk:int -> fragment:int -> cipher:string -> string
-
 val fragment_leaf_hash_sub :
   t -> chunk:int -> fragment:int -> cipher:string -> pos:int -> len:int -> string
-(** {!fragment_leaf_hash} over the fragment's bytes at [\[pos, pos + len)]
-    of a larger ciphertext buffer (typically the whole chunk), so callers
-    iterating a chunk's fragments need not cut per-fragment copies. *)
+(** A fragment's Merkle leaf hash — over its chunk and fragment ids and
+    its ciphertext — read at [\[pos, pos + len)] of a larger ciphertext
+    buffer (typically the whole chunk), so callers iterating a chunk's
+    fragments need not cut per-fragment copies. *)
 
 val seal_root : t -> chunk:int -> root:string -> string
 (** The stored ECB-MHT chunk digest: the Merkle root hashed together with
     the container geometry (scheme, chunk/fragment sizes, payload length),
     so header tampering is detected like payload tampering. *)
-
-val decrypt_chunk : t -> key:Des.Triple.key -> int -> string
-(** Decrypt a full chunk's payload (positional ECB or CBC according to the
-    scheme); the caller strips padding via {!payload_length}. *)
 
 val decrypt_chunk_cipher :
   ?ctx:Modes.cipher ->
@@ -218,9 +210,11 @@ val decrypt_chunk_cipher :
   chunk:int ->
   cipher:string ->
   string
-(** Like {!decrypt_chunk}, but taking the chunk ciphertext itself (as served
-    by a remote terminal). @raise Integrity_failure if [cipher] is not
-    exactly [chunk_size t] bytes. *)
+(** Decrypt a full chunk's payload (positional ECB or CBC according to the
+    scheme) from the chunk ciphertext itself (as served by a remote
+    terminal); the caller strips padding via {!payload_length}.
+    @raise Integrity_failure if [cipher] is not exactly [chunk_size t]
+    bytes. *)
 
 val decrypt_chunk_cipher_into :
   ?ctx:Modes.cipher ->

@@ -35,7 +35,6 @@ let payload t = t.payload
 let generation t = C.generation t.container
 let epoch t = C.key_epoch t.container
 let revoked t = t.revoked
-let key_bytes t = epoch_key_bytes ~master:t.master ~epoch:(epoch t)
 let key t = key_for t.master (epoch t)
 
 let update t ~payload =

@@ -59,10 +59,6 @@ val revoked : t -> string list
 val key : t -> Xmlac_crypto.Des.Triple.key
 (** The current epoch's document key (for local decryption / licensing). *)
 
-val key_bytes : t -> string
-(** The current epoch's raw 24-byte key material — what goes inside a
-    license sealed for an authorized subject. *)
-
 val epoch_key_bytes : master:string -> epoch:int -> string
 (** The derivation itself, exposed for tests and for re-minting a license
     against a specific epoch. *)

@@ -24,15 +24,6 @@ let all =
     Remote_eval;
   ]
 
-let id_name = function
-  | Xml_parse -> "xml-parse"
-  | Skip_decode -> "skip-decode"
-  | Container -> "container"
-  | Channel_eval -> "channel-eval"
-  | Policy_text -> "policy-text"
-  | Wire_frame -> "wire-frame"
-  | Remote_eval -> "remote-eval"
-
 (* The robustness contract: hostile bytes may only surface through these
    typed channels. Anything else escaping a boundary is a crash — a bug in
    the layer, not in the input. *)

@@ -21,7 +21,6 @@ type id =
   | Remote_eval
 
 val all : id list
-val id_name : id -> string
 
 val classify : exn -> outcome
 (** Map the typed exceptions of every layer to [Rejected]; anything else to

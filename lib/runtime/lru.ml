@@ -54,8 +54,8 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
-(* non-counting, non-refreshing lookup: the prefetch planner peeks at the
-   cache without perturbing either the stats or the recency order *)
+(* non-counting, non-refreshing lookup: the channel's fast path checks an
+   entry before its one counted lookup *)
 let peek t key =
   match Hashtbl.find_opt t.table key with
   | Some node -> Some node.value
@@ -72,7 +72,7 @@ let find t key =
       t.stats.misses <- t.stats.misses + 1;
       None
 
-let insert ?on_evict t key value =
+let insert t key value =
   (* replacing an existing binding refreshes it, no eviction *)
   (match Hashtbl.find_opt t.table key with
   | Some old ->
@@ -84,17 +84,13 @@ let insert ?on_evict t key value =
         | Some lru ->
             unlink t lru;
             Hashtbl.remove t.table lru.key;
-            t.stats.evicted <- t.stats.evicted + 1;
-            (match on_evict with
-            | Some f -> f lru.key lru.value
-            | None -> ())
+            t.stats.evicted <- t.stats.evicted + 1
         | None -> ());
   let node = { key; value; prev = None; next = None } in
   Hashtbl.replace t.table key node;
   push_front t node
 
-(* keys in most-recent-first order — the shadow the prefetch planner
-   simulates eviction on *)
+(* keys in most-recent-first order *)
 let keys_mru t =
   let rec walk acc = function
     | None -> List.rev acc

@@ -23,13 +23,12 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** Counting lookup: bumps [hits]/[misses] and refreshes recency. *)
 
 val peek : ('k, 'v) t -> 'k -> 'v option
-(** Non-counting, non-refreshing lookup, for planners that must not
-    perturb the cache state they are predicting. *)
+(** Non-counting, non-refreshing lookup: lets a caller inspect an entry
+    before deciding whether its use counts as a lookup. *)
 
-val insert : ?on_evict:('k -> 'v -> unit) -> ('k, 'v) t -> 'k -> 'v -> unit
+val insert : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert (or refresh) a binding, evicting the least-recently-used entry
-    when at capacity; [on_evict] receives the victim (e.g. to recycle its
-    buffers). *)
+    when at capacity. *)
 
 val keys_mru : ('k, _) t -> 'k list
 (** Keys in most-recently-used-first order. *)

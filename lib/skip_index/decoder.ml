@@ -100,8 +100,6 @@ let of_source source =
       }
 
 let of_string s = of_source (source_of_string s)
-let of_source_result source = Error.guard (fun () -> of_source source)
-let of_string_result s = Error.guard (fun () -> of_string s)
 
 let layout t = t.hdr.Encoder.layout
 let dict t = t.dict
@@ -254,16 +252,6 @@ let descendant_tags t =
     match t.stack with
     | f :: _ when f.has_set ->
         Some (Array.to_list (Array.map (Dict.tag t.dict) f.set))
-    | _ -> None
-
-let descendant_tag_set t =
-  if not t.after_start then None
-  else
-    match t.stack with
-    | f :: _ when f.has_set ->
-        let table = Hashtbl.create (Array.length f.set * 2) in
-        Array.iter (fun i -> Hashtbl.replace table (Dict.tag t.dict i) ()) f.set;
-        Some (fun tag -> Hashtbl.mem table tag)
     | _ -> None
 
 let skip t =

@@ -28,9 +28,6 @@ val of_source : source -> t
 
 val of_string : string -> t
 
-val of_source_result : source -> (t, Error.t) result
-val of_string_result : string -> (t, Error.t) result
-
 val events_result : string -> (Xmlac_xml.Event.t list, Error.t) result
 (** Decode a whole document. The decoder's trust-boundary contract: for any
     byte string — hostile, truncated, bit-flipped — this returns either the
@@ -69,9 +66,6 @@ val descendant_tags : t -> string list option
 (** After a [Start] event: the tags that can appear below the element just
     opened ([None] when the layout does not record bitmaps, or for the
     instant after non-[Start] events). *)
-
-val descendant_tag_set : t -> (string -> bool) option
-(** Same information as a membership test (constant-time). *)
 
 val can_skip : t -> bool
 (** Whether the layout records subtree sizes. *)

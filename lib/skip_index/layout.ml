@@ -28,5 +28,4 @@ let of_byte = function
   | _ -> None
 
 let has_sizes = function Nc | Tc -> false | Tcs | Tcsb | Tcsbr -> true
-let has_bitmaps = function Tcsb | Tcsbr -> true | Nc | Tc | Tcs -> false
 let recursive = function Tcsbr -> true | _ -> false

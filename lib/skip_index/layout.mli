@@ -19,7 +19,4 @@ val of_byte : int -> t option
 val has_sizes : t -> bool
 (** Whether subtrees can be skipped without parsing them. *)
 
-val has_bitmaps : t -> bool
-(** Whether elements advertise their descendant tag sets. *)
-
 val recursive : t -> bool

@@ -189,20 +189,28 @@ type frag_entry = {
    blocks it needs: block i needs only ciphertext blocks i-1 and i. *)
 type chunk_entry = { ce_plain : Bytes.t; ce_flags : Bytes.t }
 
+(* A chunk digest as the digest cache holds it: a miss caches the cell at
+   once and the window fills it when the encrypted blob arrives, so units
+   of one chunk share a single fetch. *)
+type digest_cell = string ref
+
+(* the digest of a unit that verifies nothing *)
+let no_digest : digest_cell = ref ""
+
 (* One per-fragment slice of a read request, carried through the window's
-   fetch -> compute -> commit phases. Fields after [fu_out] are filled in
-   by the fetch and compute phases. *)
+   build -> fetch -> compute -> commit phases. Fields after [fu_entry] are
+   filled in by the build, fetch and compute phases. *)
 type frag_unit = {
   fu_chunk : int;
   fu_frag : int;
   fu_lo : int; (* fragment-local *)
   fu_hi : int;
   fu_out : int; (* offset in the result buffer *)
-  mutable fu_entry : frag_entry;
+  fu_entry : frag_entry;
   mutable fu_did_ext : bool;
   mutable fu_ext : int; (* aligned lo of the extension *)
   mutable fu_state : string; (* imported SHA-1 mid-state (verify) *)
-  mutable fu_digest : string; (* expected chunk digest (verify) *)
+  mutable fu_digest : digest_cell; (* expected chunk digest (verify) *)
   mutable fu_leaf : string; (* computed leaf hash; the verdict is grouped
                                per chunk after the compute phase *)
   mutable fu_new_blocks : int;
@@ -216,44 +224,64 @@ type chunk_unit = {
   cu_off : int;
   cu_take : int;
   cu_out : int;
-  mutable cu_entry : chunk_entry;
+  cu_entry : chunk_entry;
+  cu_fresh : bool; (* missed the chunk cache: fetched in this window *)
   mutable cu_cipher : string; (* "" on a cache hit *)
-  mutable cu_fresh : bool;
-  mutable cu_digest : string;
+  mutable cu_digest : digest_cell;
   mutable cu_new_blocks : int;
   mutable cu_batched : int;
   mutable cu_ok : bool;
   mutable cu_wall : float;
 }
 
-(* A list-backed simulation of an [Lru]'s key set, used by the prefetch
-   planner to predict — exactly — which fetches the coming window will
-   perform, without touching the real caches. Mirrors [Lru.find]'s
-   recency refresh and [Lru.insert]'s evict-beyond-capacity. *)
-module Shadow = struct
-  type 'k t = { mutable keys : 'k list; cap : int }
+(* A terminal reply as a window absorbs it. A fragment range stays a
+   view, so the in-process terminal serves it without a copy. *)
+type answer = Range of slice | Data of string | Digests of string list
 
-  let of_lru lru = { keys = Lru.keys_mru lru; cap = Lru.capacity lru }
+let fetch_one terminal = function
+  | Fetch_fragment { chunk; fragment; lo; hi } ->
+      Range (terminal.fetch_fragment ~chunk ~fragment ~lo ~hi)
+  | Fetch_chunk { chunk } -> Data (terminal.fetch_chunk ~chunk)
+  | Fetch_digest { chunk } -> Data (terminal.fetch_digest ~chunk)
+  | Fetch_hash_state { chunk; fragment; upto } ->
+      Data (terminal.fetch_hash_state ~chunk ~fragment ~upto)
+  | Fetch_siblings { chunk; fragment } ->
+      Digests (terminal.fetch_siblings ~chunk ~fragment)
 
-  let find t k =
-    if List.mem k t.keys then begin
-      t.keys <- k :: List.filter (fun x -> x <> k) t.keys;
-      true
-    end
-    else false
+let answer_of_reply = function
+  | Bytes_reply s -> Data s
+  | List_reply ds -> Digests ds
 
-  let insert t k =
-    if List.mem k t.keys then
-      t.keys <- k :: List.filter (fun x -> x <> k) t.keys
-    else begin
-      t.keys <- k :: t.keys;
-      if List.length t.keys > t.cap then
-        t.keys <- List.filteri (fun i _ -> i < t.cap) t.keys
-    end
-end
+let unanswered () = integrity "terminal reply does not answer its fetch"
 
-(* units processed per pipeline window: bounds decrypt-ahead memory, keeps
-   a worst-case Batch well under the wire's frame caps *)
+let range_of = function
+  | Range sl -> sl
+  | Data s -> { s_data = s; s_off = 0 }
+  | Digests _ -> unanswered ()
+
+let data_of = function Data s -> s | Range _ | Digests _ -> unanswered ()
+let digests_of = function Digests ds -> ds | Range _ | Data _ -> unanswered ()
+
+(* Ask the terminal for a window's fetches and absorb each reply, in
+   request order: one [fetch_many] round trip for two or more fetches
+   when the terminal batches, one call per fetch otherwise. *)
+let fetch_window terminal fetches =
+  match terminal.fetch_many with
+  | Some many when List.compare_length_with fetches 2 >= 0 ->
+      let replies = many (List.map fst fetches) in
+      if List.compare_lengths replies fetches <> 0 then
+        integrity "terminal answered %d of %d fetches" (List.length replies)
+          (List.length fetches);
+      List.iter2
+        (fun (_, absorb) reply -> absorb (answer_of_reply reply))
+        fetches replies
+  | _ ->
+      List.iter (fun (req, absorb) -> absorb (fetch_one terminal req)) fetches
+
+(* units processed per pipeline window: bounds decrypt-ahead memory, and
+   the worst case — 16 ECB-MHT units that each ask for a fragment suffix,
+   a hash state, siblings and a chunk digest — fills one Batch of exactly
+   [Xmlac_wire.Protocol.max_batch] = 64 fetches *)
 let window_units = 16
 
 let rec split_windows lst =
@@ -299,78 +327,67 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
     go 0 frags_per_chunk
   in
   (* SOE-side caches, bounded like a smart card's RAM, sharing one stats
-     record. All cache operations happen in the fetch phase, in unit order,
-     so hit/miss/evicted depend only on the read sequence. *)
+     record. All cache operations happen while a window builds its units,
+     in unit order, so hit/miss/evicted depend only on the read
+     sequence. *)
   let frag_cache : (int * int, frag_entry) Lru.t =
     Lru.create ~capacity:frag_cache_capacity ~stats:counters.cache
   in
   let chunk_cache : (int, chunk_entry) Lru.t =
     Lru.create ~capacity:chunk_cache_capacity ~stats:counters.cache
   in
-  let digest_cache : (int, string) Lru.t =
+  let digest_cache : (int, digest_cell) Lru.t =
     Lru.create ~capacity:1 ~stats:counters.cache
   in
-  (* Prefetched replies for the current window, consumed in order by the
-     q_* fetchers below. The planner predicts fetches exactly; a mismatch
-     is a channel bug and fails loudly rather than desynchronizing the
-     byte accounting. *)
-  let prefetched : (fetch_req * fetch_reply) list ref = ref [] in
-  let take_prefetched req =
-    match !prefetched with
-    | (r, reply) :: rest when r = req ->
-        prefetched := rest;
-        Some reply
-    | [] -> None
-    | _ :: _ -> invalid_arg "Channel: prefetch desynchronized"
-  in
-  let q_fragment ~chunk ~fragment ~lo ~hi =
-    match take_prefetched (Fetch_fragment { chunk; fragment; lo; hi }) with
-    | Some (Bytes_reply s) -> { s_data = s; s_off = 0 }
-    | Some (List_reply _) -> invalid_arg "Channel: prefetch desynchronized"
-    | None -> terminal.fetch_fragment ~chunk ~fragment ~lo ~hi
-  in
-  let q_chunk ~chunk =
-    match take_prefetched (Fetch_chunk { chunk }) with
-    | Some (Bytes_reply s) -> s
-    | Some (List_reply _) -> invalid_arg "Channel: prefetch desynchronized"
-    | None -> terminal.fetch_chunk ~chunk
-  in
-  let q_digest ~chunk =
-    match take_prefetched (Fetch_digest { chunk }) with
-    | Some (Bytes_reply s) -> s
-    | Some (List_reply _) -> invalid_arg "Channel: prefetch desynchronized"
-    | None -> terminal.fetch_digest ~chunk
-  in
-  let q_state ~chunk ~fragment ~upto =
-    match take_prefetched (Fetch_hash_state { chunk; fragment; upto }) with
-    | Some (Bytes_reply s) -> s
-    | Some (List_reply _) -> invalid_arg "Channel: prefetch desynchronized"
-    | None -> terminal.fetch_hash_state ~chunk ~fragment ~upto
-  in
-  let q_siblings ~chunk ~fragment =
-    match take_prefetched (Fetch_siblings { chunk; fragment }) with
-    | Some (List_reply l) -> l
-    | Some (Bytes_reply _) -> invalid_arg "Channel: prefetch desynchronized"
-    | None -> terminal.fetch_siblings ~chunk ~fragment
-  in
+  (* The window's terminal fetches, newest first, each with the step that
+     absorbs its reply; units add to it while the window builds them. *)
+  let pending = ref [] in
+  let ask req absorb = pending := (req, absorb) :: !pending in
   let chunk_digest chunk =
     match Lru.find digest_cache chunk with
-    | Some d -> d
+    | Some cell -> cell
     | None ->
         counters.bytes_to_soe <- counters.bytes_to_soe + digest_blob_bytes;
         counters.bytes_decrypted <- counters.bytes_decrypted + digest_blob_bytes;
         counters.blocks_decrypted <-
           counters.blocks_decrypted + (digest_blob_bytes / cipher_block);
         counters.digests_decrypted <- counters.digests_decrypted + 1;
-        let blob = q_digest ~chunk in
-        (* validates the blob size before decrypting *)
-        let d = C.decrypt_digest_blob ~scheme ~key ~chunk blob in
-        Lru.insert digest_cache chunk d;
-        d
+        let cell = ref "" in
+        ask (Fetch_digest { chunk }) (fun a ->
+            (* validates the blob size before decrypting *)
+            cell := C.decrypt_digest_blob ~scheme ~key ~chunk (data_of a));
+        Lru.insert digest_cache chunk cell;
+        cell
   in
   let cover_length frag =
     List.length
       (Merkle.sibling_cover ~leaf_count:frags_per_chunk ~lo:frag ~hi:frag)
+  in
+  (* One pipeline window: build its units in order against the real
+     caches, each asking for what it lacks; fetch and absorb the replies;
+     then compute, and commit into [out] in unit order. *)
+  let run_window ~kind ~build ~compute ~commit out tuples =
+    (* phase events bracket the window when a trace sink is on; field
+       construction stays behind the guard like [emit_chunk_verdict] *)
+    let traced = Xmlac_obs.Trace.enabled () in
+    let phase name =
+      if traced then
+        Xmlac_obs.Span.event name
+          [
+            ("kind", Xmlac_obs.Json.String kind);
+            ("units", Xmlac_obs.Json.Int (List.length tuples));
+          ]
+    in
+    phase "channel.plan";
+    let units = List.map build tuples in
+    let fetches = List.rev !pending in
+    pending := [];
+    fetch_window terminal fetches;
+    phase "channel.fetch";
+    List.iter compute units;
+    phase "channel.compute";
+    commit out units;
+    phase "channel.commit"
   in
 
   (* {2 ECB-family path: per-fragment units} *)
@@ -383,49 +400,14 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
       siblings = None;
     }
   in
-  (* predict the window's terminal fetches by simulating the fetch phase's
-     cache transitions on shadows; used only when the terminal can batch *)
-  let plan_frag_window tuples =
-    let shadow_frag = Shadow.of_lru frag_cache in
-    let shadow_digest = Shadow.of_lru digest_cache in
-    let reqs = ref [] in
-    let push r = reqs := r :: !reqs in
-    List.iter
-      (fun (chunk, frag, lo, _hi, _out) ->
-        let key = (chunk, frag) in
-        let avail, sib_missing =
-          if Shadow.find shadow_frag key then
-            match Lru.peek frag_cache key with
-            | Some e -> (e.avail_from, e.siblings = None)
-            | None -> assert false (* shadow hit implies a live entry *)
-          else begin
-            Shadow.insert shadow_frag key;
-            (frag_size, true)
-          end
-        in
-        let aligned = lo / 8 * 8 in
-        if aligned < avail then begin
-          push (Fetch_fragment { chunk; fragment = frag; lo = aligned; hi = avail });
-          if verify then begin
-            push (Fetch_hash_state { chunk; fragment = frag; upto = aligned });
-            if sib_missing then push (Fetch_siblings { chunk; fragment = frag });
-            if not (Shadow.find shadow_digest chunk) then begin
-              Shadow.insert shadow_digest chunk;
-              push (Fetch_digest { chunk })
-            end
-          end
-        end)
-      tuples;
-    List.rev !reqs
-  in
   (* Appendix A: to let the SOE verify a fragment it reads from byte [lo]
      on, the terminal sends the ciphertext suffix, the intermediate SHA-1
      state of the prefix (the leaf hash covers chunk and fragment ids plus
      the whole fragment ciphertext), the Merkle sibling digests, and the
-     encrypted ChunkDigest. The fetch phase gathers (and charges) all of
-     that; hashing, Merkle reconstruction and block decryption run in the
-     compute phase. *)
-  let fetch_frag_unit (chunk, frag, lo, hi, out) =
+     encrypted ChunkDigest. Building the unit asks for what its entry
+     lacks; absorbing a reply validates and charges it. Hashing, Merkle
+     reconstruction and block decryption run in the compute phase. *)
+  let frag_unit (chunk, frag, lo, hi, out) =
     let entry =
       match Lru.find frag_cache (chunk, frag) with
       | Some e -> e
@@ -445,7 +427,7 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
         fu_did_ext = false;
         fu_ext = 0;
         fu_state = "";
-        fu_digest = "";
+        fu_digest = no_digest;
         fu_leaf = "";
         fu_new_blocks = 0;
         fu_batched = 0;
@@ -454,36 +436,38 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
       }
     in
     let aligned = lo / 8 * 8 in
-    if aligned < entry.avail_from then begin
-      let old_avail = entry.avail_from in
+    let avail = entry.avail_from in
+    if aligned < avail then begin
       counters.fragment_fetches <- counters.fragment_fetches + 1;
-      let sl = q_fragment ~chunk ~fragment:frag ~lo:aligned ~hi:old_avail in
-      let served = String.length sl.s_data - sl.s_off in
-      if served < old_avail - aligned then
-        integrity "chunk %d fragment %d: served %d bytes for range [%d, %d)"
-          chunk frag served aligned old_avail;
-      counters.bytes_to_soe <- counters.bytes_to_soe + (old_avail - aligned);
-      Bytes.blit_string sl.s_data sl.s_off entry.fe_cipher aligned
-        (old_avail - aligned);
-      entry.avail_from <- aligned;
       u.fu_did_ext <- true;
       u.fu_ext <- aligned;
+      ask (Fetch_fragment { chunk; fragment = frag; lo = aligned; hi = avail })
+        (fun a ->
+          let sl = range_of a in
+          let served = String.length sl.s_data - sl.s_off in
+          if served < avail - aligned then
+            integrity "chunk %d fragment %d: served %d bytes for range [%d, %d)"
+              chunk frag served aligned avail;
+          counters.bytes_to_soe <- counters.bytes_to_soe + (avail - aligned);
+          Bytes.blit_string sl.s_data sl.s_off entry.fe_cipher aligned
+            (avail - aligned);
+          entry.avail_from <- aligned);
       if verify then begin
-        let state = q_state ~chunk ~fragment:frag ~upto:aligned in
-        counters.bytes_to_soe <- counters.bytes_to_soe + hash_state_bytes;
-        u.fu_state <- state;
-        (match entry.siblings with
-        | Some _ -> ()
-        | None ->
-            let ds = q_siblings ~chunk ~fragment:frag in
-            let expect = cover_length frag in
-            if List.length ds <> expect then
-              integrity
-                "chunk %d fragment %d: %d sibling digests for a cover of %d"
-                chunk frag (List.length ds) expect;
-            counters.bytes_to_soe <-
-              counters.bytes_to_soe + (digest_bytes * List.length ds);
-            entry.siblings <- Some ds);
+        ask (Fetch_hash_state { chunk; fragment = frag; upto = aligned })
+          (fun a ->
+            counters.bytes_to_soe <- counters.bytes_to_soe + hash_state_bytes;
+            u.fu_state <- data_of a);
+        if Option.is_none entry.siblings then
+          ask (Fetch_siblings { chunk; fragment = frag }) (fun a ->
+              let ds = digests_of a in
+              let expect = cover_length frag in
+              if List.length ds <> expect then
+                integrity
+                  "chunk %d fragment %d: %d sibling digests for a cover of %d"
+                  chunk frag (List.length ds) expect;
+              counters.bytes_to_soe <-
+                counters.bytes_to_soe + (digest_bytes * List.length ds);
+              entry.siblings <- Some ds);
         u.fu_digest <- chunk_digest chunk
       end
     end;
@@ -573,7 +557,7 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
         let ok =
           Xmlac_crypto.Ct.equal
             (C.seal_root container ~chunk:u0.fu_chunk ~root)
-            u0.fu_digest
+            !(u0.fu_digest)
         in
         List.iter (fun u -> u.fu_ok <- ok) us;
         counters.engine_merkle_groups <- counters.engine_merkle_groups + 1
@@ -610,33 +594,12 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
       Xmlac_obs.Histogram.observe counters.crypto_hist u.fu_wall;
     Bytes.blit e.fe_plain u.fu_lo out u.fu_out (u.fu_hi - u.fu_lo)
   in
-  let process_frag_window out tuples =
-    (* phase events bracket the window when a trace sink is on; field
-       construction stays behind the guard like [emit_chunk_verdict] *)
-    let traced = Xmlac_obs.Trace.enabled () in
-    let phase name =
-      if traced then
-        Xmlac_obs.Span.event name
-          [
-            ("kind", Xmlac_obs.Json.String "fragment");
-            ("units", Xmlac_obs.Json.Int (List.length tuples));
-          ]
-    in
-    phase "channel.plan";
-    (match terminal.fetch_many with
-    | Some fetch_many ->
-        let reqs = plan_frag_window tuples in
-        if List.length reqs >= 2 then
-          prefetched := List.combine reqs (fetch_many reqs)
-    | None -> ());
-    let units = List.map fetch_frag_unit tuples in
-    assert (!prefetched = []);
-    phase "channel.fetch";
-    List.iter (fun u -> if frag_needs_compute u then compute_frag u) units;
-    phase "channel.compute";
-    if verify then verify_frag_groups units;
-    List.iter (commit_frag out) units;
-    phase "channel.commit"
+  let frag_window =
+    run_window ~kind:"fragment" ~build:frag_unit
+      ~compute:(fun u -> if frag_needs_compute u then compute_frag u)
+      ~commit:(fun out units ->
+        if verify then verify_frag_groups units;
+        List.iter (commit_frag out) units)
   in
   (* the hot case — a small read fully inside an already-decrypted
      fragment — skips the window machinery: one counted cache hit, one
@@ -673,62 +636,42 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
     match split [] pos len 0 with
     | [ (chunk, frag, lo, hi, _) ] when fast_frag_read out chunk frag lo hi ->
         ()
-    | tuples -> List.iter (process_frag_window out) (split_windows tuples)
+    | tuples -> List.iter (frag_window out) (split_windows tuples)
   in
 
   (* {2 CBC path: per-chunk units (no random access inside a chunk)} *)
-  let plan_chunk_window tuples =
-    let shadow_chunk = Shadow.of_lru chunk_cache in
-    let shadow_digest = Shadow.of_lru digest_cache in
-    let reqs = ref [] in
-    let push r = reqs := r :: !reqs in
-    List.iter
-      (fun (chunk, _off, _take, _out) ->
-        if not (Shadow.find shadow_chunk chunk) then begin
-          Shadow.insert shadow_chunk chunk;
-          push (Fetch_chunk { chunk });
-          if verify && not (Shadow.find shadow_digest chunk) then begin
-            Shadow.insert shadow_digest chunk;
-            push (Fetch_digest { chunk })
-          end
-        end)
-      tuples;
-    List.rev !reqs
-  in
-  let fetch_chunk_unit (chunk, off, take, out) =
-    let entry, fresh, cipher_text =
-      match Lru.find chunk_cache chunk with
-      | Some e -> (e, false, "")
-      | None ->
-          let e =
-            {
-              ce_plain = Bytes.create chunk_size;
-              ce_flags = Bytes.make (chunk_size / 8) '\000';
-            }
-          in
-          counters.chunk_fetches <- counters.chunk_fetches + 1;
-          counters.bytes_to_soe <- counters.bytes_to_soe + chunk_size;
-          let cs = q_chunk ~chunk in
-          Lru.insert chunk_cache chunk e;
-          (e, true, cs)
-    in
+  let chunk_unit (chunk, off, take, out) =
+    let cached = Lru.find chunk_cache chunk in
     let u =
       {
         cu_chunk = chunk;
         cu_off = off;
         cu_take = take;
         cu_out = out;
-        cu_entry = entry;
-        cu_cipher = cipher_text;
-        cu_fresh = fresh;
-        cu_digest = "";
+        cu_entry =
+          (match cached with
+          | Some e -> e
+          | None ->
+              {
+                ce_plain = Bytes.create chunk_size;
+                ce_flags = Bytes.make (chunk_size / 8) '\000';
+              });
+        cu_fresh = Option.is_none cached;
+        cu_cipher = "";
+        cu_digest = no_digest;
         cu_new_blocks = 0;
         cu_batched = 0;
         cu_ok = false;
         cu_wall = 0.;
       }
     in
-    if fresh && verify then u.cu_digest <- chunk_digest chunk;
+    if u.cu_fresh then begin
+      counters.chunk_fetches <- counters.chunk_fetches + 1;
+      counters.bytes_to_soe <- counters.bytes_to_soe + chunk_size;
+      ask (Fetch_chunk { chunk }) (fun a -> u.cu_cipher <- data_of a);
+      Lru.insert chunk_cache chunk u.cu_entry;
+      if verify then u.cu_digest <- chunk_digest chunk
+    end;
     u
   in
   let chunk_needs_compute u =
@@ -765,7 +708,7 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
                 ~cipher:u.cu_cipher
           | C.Ecb | C.Ecb_mht -> assert false
         in
-        u.cu_ok <- Xmlac_crypto.Ct.equal expected u.cu_digest
+        u.cu_ok <- Xmlac_crypto.Ct.equal expected !(u.cu_digest)
       end
     end;
     if scheme = C.Cbc_shac then
@@ -810,30 +753,10 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
     end;
     Bytes.blit e.ce_plain u.cu_off out u.cu_out u.cu_take
   in
-  let process_chunk_window out tuples =
-    let traced = Xmlac_obs.Trace.enabled () in
-    let phase name =
-      if traced then
-        Xmlac_obs.Span.event name
-          [
-            ("kind", Xmlac_obs.Json.String "chunk");
-            ("units", Xmlac_obs.Json.Int (List.length tuples));
-          ]
-    in
-    phase "channel.plan";
-    (match terminal.fetch_many with
-    | Some fetch_many ->
-        let reqs = plan_chunk_window tuples in
-        if List.length reqs >= 2 then
-          prefetched := List.combine reqs (fetch_many reqs)
-    | None -> ());
-    let units = List.map fetch_chunk_unit tuples in
-    assert (!prefetched = []);
-    phase "channel.fetch";
-    List.iter (fun u -> if chunk_needs_compute u then compute_chunk u) units;
-    phase "channel.compute";
-    List.iter (commit_chunk out) units;
-    phase "channel.commit"
+  let chunk_window =
+    run_window ~kind:"chunk" ~build:chunk_unit
+      ~compute:(fun u -> if chunk_needs_compute u then compute_chunk u)
+      ~commit:(fun out units -> List.iter (commit_chunk out) units)
   in
   let fast_chunk_read out chunk off take =
     match Lru.peek chunk_cache chunk with
@@ -865,18 +788,30 @@ let source_of_terminal ?(verify = true) ?engine:_ ~terminal ~key counters =
     in
     match split [] pos len 0 with
     | [ (chunk, off, take, _) ] when fast_chunk_read out chunk off take -> ()
-    | tuples -> List.iter (process_chunk_window out) (split_windows tuples)
+    | tuples -> List.iter (chunk_window out) (split_windows tuples)
   in
 
+  (* The first exception that escapes a read poisons the source: a failed
+     fetch or verification aborts the session, so every later read
+     re-raises it instead of serving what the failed window left in the
+     caches. *)
+  let poisoned = ref None in
   let read ~pos ~len =
-    if len = 0 then ""
-    else begin
-      let out = Bytes.create len in
-      (match scheme with
-      | C.Ecb | C.Ecb_mht -> read_frags out ~pos ~len
-      | C.Cbc_sha | C.Cbc_shac | C.Aes_ctr -> read_chunks out ~pos ~len);
-      Bytes.unsafe_to_string out
-    end
+    match !poisoned with
+    | Some e -> raise e
+    | None -> (
+        try
+          if len = 0 then ""
+          else begin
+            let out = Bytes.create len in
+            (match scheme with
+            | C.Ecb | C.Ecb_mht -> read_frags out ~pos ~len
+            | C.Cbc_sha | C.Cbc_shac | C.Aes_ctr -> read_chunks out ~pos ~len);
+            Bytes.unsafe_to_string out
+          end
+        with e ->
+          poisoned := Some e;
+          raise e)
   in
   { Xmlac_skip_index.Decoder.read; length = payload_len }
 

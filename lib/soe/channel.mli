@@ -13,14 +13,17 @@
     accounting, so local and remote runs of the same query tally the same
     [bytes_to_soe].
 
-    Reads are processed as a pipeline of fixed-size windows, each in four
-    phases, all on the calling domain: {e plan} (predict the window's
-    terminal fetches and issue them as one batched round trip, when the
-    terminal supports it), {e fetch} (all cache operations and byte
-    accounting, in unit order), {e compute} (hashing and block decryption
-    per unit in order, then one Merkle reconstruction per chunk; the first
-    failing unit raises), and {e commit} (verdicts, counter charges and output delivery, again in
-    unit order).
+    Reads are processed as a pipeline of fixed-size windows, all on the
+    calling domain. A window first builds its units in order against the
+    caches: every cache lookup and insert happens here, and each unit
+    records what it lacks (a fragment suffix, hash state, siblings, the
+    chunk digest, or a whole chunk). It then {e fetches}: one batched
+    round trip for two or more fetches when the terminal supports it, one
+    call per fetch otherwise, absorbing and charging the replies in
+    request order. Then it {e computes} (hashing and block decryption per
+    unit in order, then one Merkle reconstruction per chunk) and
+    {e commits} (verdicts, counter charges and output delivery, again in
+    unit order; the first failing unit raises).
 
     Every exchange is tallied in {!counters}; the {!Cost_model} turns the
     tallies into simulated seconds. The cryptography is real: tampering with
@@ -109,7 +112,8 @@ type terminal = {
   fetch_many : (fetch_req list -> fetch_reply list) option;
       (** several fetches answered in one round trip, replies in request
           order; [None] when the terminal has no round trip to save (the
-          in-process terminal) *)
+          in-process terminal). The channel passes one window's fetches:
+          two or more, and at most 64 (16 units of at most four). *)
 }
 (** What the SOE asks of a terminal. Nothing a terminal returns is trusted:
     the channel validates every length and verifies cryptographically
@@ -148,8 +152,11 @@ val source_of_terminal :
     attributed to the first extended fragment of the failing chunk's
     window group rather than the precise fragment.
 
-    After an [Integrity_failure] the source is poisoned — a failed
-    verification aborts the session, it is not a recoverable read error.
+    The source is poisoned by the first exception that escapes a read —
+    an [Integrity_failure], or a fetch the terminal failed: every later
+    read re-raises it, so nothing the failed window left cached is ever
+    served. A failed verification aborts the session; it is not a
+    recoverable read error.
 
     Scheme behaviours:
     - ECB: fetch + decrypt only the 8-byte-aligned blocks covering a read;

@@ -45,11 +45,6 @@ let of_context = function
 
 let all_contexts = [ Hardware; Software_internet; Software_lan ]
 
-let context_name = function
-  | Hardware -> "Hardware (smart card)"
-  | Software_internet -> "Software - Internet"
-  | Software_lan -> "Software - LAN"
-
 let table1 = List.map (fun c -> (c, of_context c)) all_contexts
 
 type breakdown = {

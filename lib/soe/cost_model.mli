@@ -26,7 +26,6 @@ type t = {
 val of_context : context -> t
 val table1 : (context * t) list
 val all_contexts : context list
-val context_name : context -> string
 
 type breakdown = {
   communication_s : float;

@@ -47,26 +47,12 @@ let reply_of_response req (resp : Wire.Protocol.response) : Channel.fetch_reply
       (* [Client.fetch_batch] already rejected kind mismatches *)
       Wire.Error.protocolf "batch reply does not answer its request"
 
-(* Issue a window's worth of fetches as Batch frames, splitting at the
-   protocol's per-frame cap. Replies come back in request order. *)
+(* A window's fetches as one Batch frame, replies in request order. A
+   window asks at most [Wire.Protocol.max_batch] fetches (16 units of at
+   most four each), and the encoder rejects more. *)
 let fetch_many client reqs =
-  let rec split n acc rest =
-    match rest with
-    | [] -> (List.rev acc, [])
-    | _ when n = 0 -> (List.rev acc, rest)
-    | x :: tl -> split (n - 1) (x :: acc) tl
-  in
-  let rec go reqs =
-    match reqs with
-    | [] -> []
-    | _ ->
-        let batch, rest = split Wire.Protocol.max_batch [] reqs in
-        let resps =
-          Wire.Client.fetch_batch client (List.map request_of_fetch batch)
-        in
-        List.map2 reply_of_response batch resps @ go rest
-  in
-  go reqs
+  List.map2 reply_of_response reqs
+    (Wire.Client.fetch_batch client (List.map request_of_fetch reqs))
 
 let connect ?config ?container ?trace_id ?expect_scheme connector =
   let config =

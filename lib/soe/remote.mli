@@ -54,10 +54,11 @@ val source :
   Xmlac_skip_index.Decoder.source
 (** {!Channel.source_of_terminal} over this remote terminal — the same
     evaluator-facing interface, verification included, as the in-process
-    channel. The channel's window planner coalesces its predicted fetches
-    into [Batch] frames (counted in the client's [batched_requests]);
-    payload accounting is unchanged, so
-    the local/remote [bytes_to_soe] = [payload_bytes] equality still
-    holds. *)
+    channel. Each channel window that needs two or more fetches sends
+    them as one [Batch] frame (counted in the client's
+    [batched_requests]); a window asks at most
+    {!Xmlac_wire.Protocol.max_batch} fetches, so it never splits. Payload
+    accounting is per item, so the local/remote [bytes_to_soe] =
+    [payload_bytes] equality still holds. *)
 
 val close : t -> unit

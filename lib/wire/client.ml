@@ -232,106 +232,69 @@ let call t req expect =
       raise (Error.Wire (Error.Server { code; message }))
   | resp -> expect resp
 
-(* Payload accounting mirrors the in-process channel's [bytes_to_soe]:
-   actual ciphertext/digest lengths, the constant padded hash-state size,
-   20 bytes per sibling digest. Charged only on success, once per
-   delivered answer — retries re-charge nothing. *)
+(* The payload a data reply delivers, given the request it answers —
+   the same rule as the in-process channel's [bytes_to_soe]: actual
+   ciphertext/digest lengths, the constant padded hash-state size, 20
+   bytes per sibling digest. An error item is the terminal's [Server]
+   error; a reply of another kind is a [Protocol] fault. *)
+let reply_payload (req : Protocol.request) (resp : Protocol.response) =
+  match (req, resp) with
+  | Get_fragment _, Fragment c | Get_chunk _, Chunk c | Get_digest _, Digest c
+    ->
+      String.length c
+  | Get_hash_state _, Hash_state _ -> Protocol.hash_state_wire_bytes
+  | Get_siblings _, Siblings ds -> 20 * List.length ds
+  | _, Err { code; message } ->
+      raise (Error.Wire (Error.Server { code; message }))
+  | _, r ->
+      Error.protocolf "%s reply does not answer its request" (response_kind r)
+
+(* One data request. The reply is checked against it inside [call]'s
+   retry, so a desynchronized stream retries; its payload is charged
+   once, on delivery — retries re-charge nothing. *)
+let fetch t req =
+  let resp, bytes = call t req (fun resp -> (resp, reply_payload req resp)) in
+  t.stats.payload_bytes <- t.stats.payload_bytes + bytes;
+  resp
+
+let bytes_reply : Protocol.response -> string = function
+  | Fragment s | Chunk s | Digest s | Hash_state s -> s
+  | _ -> assert false (* [fetch] checked the kind *)
 
 let fetch_fragment t ~chunk ~fragment ~lo ~hi =
-  let cipher =
-    call t
-      (Protocol.Get_fragment { chunk; fragment; lo; hi })
-      (function
-        | Protocol.Fragment c -> c
-        | r -> Error.protocolf "expected fragment reply, got %s" (response_kind r))
-  in
-  t.stats.payload_bytes <- t.stats.payload_bytes + String.length cipher;
-  cipher
+  bytes_reply (fetch t (Protocol.Get_fragment { chunk; fragment; lo; hi }))
 
-let fetch_chunk t ~chunk =
-  let cipher =
-    call t
-      (Protocol.Get_chunk { chunk })
-      (function
-        | Protocol.Chunk c -> c
-        | r -> Error.protocolf "expected chunk reply, got %s" (response_kind r))
-  in
-  t.stats.payload_bytes <- t.stats.payload_bytes + String.length cipher;
-  cipher
+let fetch_chunk t ~chunk = bytes_reply (fetch t (Protocol.Get_chunk { chunk }))
 
 let fetch_digest t ~chunk =
-  let blob =
-    call t
-      (Protocol.Get_digest { chunk })
-      (function
-        | Protocol.Digest b -> b
-        | r -> Error.protocolf "expected digest reply, got %s" (response_kind r))
-  in
-  t.stats.payload_bytes <- t.stats.payload_bytes + String.length blob;
-  blob
+  bytes_reply (fetch t (Protocol.Get_digest { chunk }))
 
 let fetch_hash_state t ~chunk ~fragment ~upto =
-  let state =
-    call t
-      (Protocol.Get_hash_state { chunk; fragment; upto })
-      (function
-        | Protocol.Hash_state s -> s
-        | r ->
-            Error.protocolf "expected hash state reply, got %s" (response_kind r))
-  in
-  t.stats.payload_bytes <- t.stats.payload_bytes + Protocol.hash_state_wire_bytes;
-  state
+  bytes_reply (fetch t (Protocol.Get_hash_state { chunk; fragment; upto }))
 
 let fetch_siblings t ~chunk ~fragment =
-  let digests =
-    call t
-      (Protocol.Get_siblings { chunk; fragment })
-      (function
-        | Protocol.Siblings ds -> ds
-        | r ->
-            Error.protocolf "expected siblings reply, got %s" (response_kind r))
-  in
-  t.stats.payload_bytes <-
-    t.stats.payload_bytes + (20 * List.length digests);
-  digests
+  match fetch t (Protocol.Get_siblings { chunk; fragment }) with
+  | Protocol.Siblings ds -> ds
+  | _ -> assert false (* [fetch] checked the kind *)
 
-(* A batch round trip charges exactly what the equivalent sequence of
-   individual fetches would have charged: per-item payload accounting with
-   the same rules as above. Validation (count, per-item kind) happens
-   before any charge is final for the session — a structural mismatch
-   aborts without retry, like any non-retryable protocol violation. *)
+(* A Batch round trip checks and charges every item by the same rule as
+   a lone fetch, so it charges exactly what the equivalent individual
+   fetches would; like theirs, the check runs inside the retry. *)
 let fetch_batch t reqs =
   if reqs = [] then []
   else begin
-    let subs =
+    let subs, bytes =
       call t (Protocol.Batch reqs) (function
-        | Protocol.Batched rs -> rs
+        | Protocol.Batched subs when List.compare_lengths subs reqs = 0 ->
+            let payload n req resp = n + reply_payload req resp in
+            (subs, List.fold_left2 payload 0 reqs subs)
+        | Protocol.Batched subs ->
+            Error.protocolf "batch reply has %d items, expected %d"
+              (List.length subs) (List.length reqs)
         | r -> Error.protocolf "expected batch reply, got %s" (response_kind r))
     in
-    if List.length subs <> List.length reqs then
-      Error.protocolf "batch reply has %d items, expected %d"
-        (List.length subs) (List.length reqs);
     t.stats.batched_requests <- t.stats.batched_requests + 1;
-    List.iter2
-      (fun req resp ->
-        match ((req : Protocol.request), (resp : Protocol.response)) with
-        | _, Protocol.Err { code; message } ->
-            raise (Error.Wire (Error.Server { code; message }))
-        | Protocol.Get_fragment _, Protocol.Fragment c ->
-            t.stats.payload_bytes <- t.stats.payload_bytes + String.length c
-        | Protocol.Get_chunk _, Protocol.Chunk c ->
-            t.stats.payload_bytes <- t.stats.payload_bytes + String.length c
-        | Protocol.Get_digest _, Protocol.Digest b ->
-            t.stats.payload_bytes <- t.stats.payload_bytes + String.length b
-        | Protocol.Get_hash_state _, Protocol.Hash_state _ ->
-            t.stats.payload_bytes <-
-              t.stats.payload_bytes + Protocol.hash_state_wire_bytes
-        | Protocol.Get_siblings _, Protocol.Siblings ds ->
-            t.stats.payload_bytes <-
-              t.stats.payload_bytes + (20 * List.length ds)
-        | _, r ->
-            Error.protocolf "batch item kind mismatch: got %s" (response_kind r))
-      reqs subs;
+    t.stats.payload_bytes <- t.stats.payload_bytes + bytes;
     subs
   end
 

@@ -101,11 +101,13 @@ val sync : t -> have_gen:int -> [ `Delta of string | `Uptodate ]
 
 val fetch_batch : t -> Protocol.request list -> Protocol.response list
 (** Send several data requests as one [Batch] frame and return the replies
-    in request order. Per-item payload accounting matches the equivalent
+    in request order. Each item is checked and charged by the same rule
+    as the typed fetches above, so [payload_bytes] matches the equivalent
     individual fetches exactly; [batched_requests] counts the frame. A
-    per-item [Err] raises a [Server] error, a count or kind mismatch a
-    [Protocol] error. The caller keeps batches within
-    {!Protocol.max_batch}. *)
+    per-item [Err] raises a [Server] error; a count or kind mismatch is a
+    [Protocol] fault, retried like a desynchronized typed fetch. The
+    caller keeps batches within {!Protocol.max_batch}, which the encoder
+    enforces. *)
 
 val close : t -> unit
 (** Best-effort [Bye], then drop the connection. Idempotent. *)

@@ -2,13 +2,6 @@ type kind = Truncate | Corrupt | Stale | Stall | Duplicate
 
 let all_kinds = [ Truncate; Corrupt; Stale; Stall; Duplicate ]
 
-let kind_to_string = function
-  | Truncate -> "truncate"
-  | Corrupt -> "corrupt"
-  | Stale -> "stale"
-  | Stall -> "stall"
-  | Duplicate -> "duplicate"
-
 type plan = { probability : float; kinds : kind list }
 
 let default_plan = { probability = 0.3; kinds = all_kinds }

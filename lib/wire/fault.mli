@@ -12,7 +12,6 @@ type kind =
   | Duplicate  (** deliver the frame twice, desynchronizing the stream *)
 
 val all_kinds : kind list
-val kind_to_string : kind -> string
 
 type plan = { probability : float; kinds : kind list }
 

@@ -110,9 +110,6 @@ let read_mux ?(max_payload = max_payload_default) ?(traced = false) t =
   let raw = read ~max_payload:(max_payload + prefix) t in
   demux ~traced ~peer:(Transport.peer t) raw
 
-let write_mux t ~sid ?span payload =
-  Transport.write t (encode_mux ~sid ?span payload)
-
 let split ?(max_payload = max_payload_default) buf ~off =
   let avail = String.length buf - off in
   if avail < header_bytes then

@@ -54,5 +54,3 @@ val read_mux :
     peer stamped one. [max_payload] bounds the payload, not the prefix. A
     frame too short to carry its prefix and payload raises a [Frame]
     error, like any truncation. *)
-
-val write_mux : Transport.t -> sid:int -> ?span:int -> string -> unit

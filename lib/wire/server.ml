@@ -38,10 +38,10 @@ type t = {
   telemetry : Telemetry.t;
 }
 
-let default_cache_capacity = 1024
+let cache_capacity = 1024
 let delta_cache_capacity = 8
 
-let create ?(cache_capacity = default_cache_capacity) () =
+let create () =
   let cache_stats = Lru.fresh_stats () in
   {
     entries = [];

@@ -18,9 +18,9 @@
 
 type t
 
-val create : ?cache_capacity:int -> unit -> t
-(** An empty registry. [cache_capacity] bounds the shared leaf-hash cache
-    (in per-chunk entries, default 1024). *)
+val create : unit -> t
+(** An empty registry. Its shared leaf-hash cache holds 1024 per-chunk
+    entries. *)
 
 val make : Xmlac_crypto.Secure_container.t -> t
 (** [create] plus [publish ~id:"default"] — the single-container shape

@@ -37,11 +37,6 @@ let is_name_start ch =
 let is_name_char ch =
   is_name_start ch || (ch >= '0' && ch <= '9') || ch = '-' || ch = '.'
 
-let is_name s =
-  String.length s > 0
-  && is_name_start s.[0]
-  && String.for_all is_name_char s
-
 let skip_spaces c =
   while (not (eof c)) && is_space (peek c) do
     c.pos <- c.pos + 1

@@ -34,6 +34,3 @@ val events_result :
 val fold :
   ?strip_whitespace:bool -> string -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
 
-val is_name : string -> bool
-(** [is_name s] tells whether [s] is a valid element name for this parser
-    (ASCII letters, digits, [-_.:], not starting with a digit/dot/dash). *)

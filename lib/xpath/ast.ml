@@ -12,7 +12,6 @@ and predicate = {
 
 type t = { steps : step list }
 
-let step ?(axis = Child) ?(predicates = []) test = { axis; test; predicates }
 let name n = Name n
 let path steps = { steps }
 
@@ -29,15 +28,6 @@ and resolve_user_predicate ~user p =
   }
 
 let resolve_user ~user t = { steps = List.map (resolve_user_step ~user) t.steps }
-
-let rec step_has_descendant s =
-  s.axis = Descendant
-  || List.exists
-       (fun p -> List.exists step_has_descendant p.path)
-       s.predicates
-
-let has_descendant_axis t = List.exists step_has_descendant t.steps
-let has_predicates t = List.exists (fun s -> s.predicates <> []) t.steps
 
 let predicate_is_linear p =
   List.for_all (fun s -> s.predicates = []) p.path

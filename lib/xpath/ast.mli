@@ -30,15 +30,11 @@ and predicate = {
 type t = { steps : step list }
 (** An absolute path; the first step's axis is the leading [/] or [//]. *)
 
-val step : ?axis:axis -> ?predicates:predicate list -> test -> step
 val name : string -> test
 val path : step list -> t
 
 val resolve_user : user:string -> t -> t
 (** Replace every [User] literal by [String user]. *)
-
-val has_descendant_axis : t -> bool
-val has_predicates : t -> bool
 
 val predicate_is_linear : predicate -> bool
 (** No nested predicates inside the predicate path (the form supported by the

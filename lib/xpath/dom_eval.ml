@@ -108,6 +108,4 @@ let select_filtered ~filter (path : Ast.t) tree =
 
 let select path tree = select_filtered ~filter:no_filter path tree
 
-let predicate_holds p context = predicate_holds_f ~filter:no_filter p ([], context)
-
 let matches path tree id = List.exists (fun m -> m = id) (select path tree)

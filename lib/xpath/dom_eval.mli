@@ -39,5 +39,3 @@ val select_filtered :
 val matches : Ast.t -> Xmlac_xml.Tree.t -> node_id -> bool
 (** Whether the node at [node_id] is matched by the path. *)
 
-val predicate_holds : Ast.predicate -> Xmlac_xml.Tree.t -> bool
-(** Whether the predicate holds for the given context node (the subtree). *)

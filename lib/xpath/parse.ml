@@ -127,7 +127,6 @@ let path input =
       if not (eof st) then fail st "trailing characters after path";
       { Ast.steps }
 
-let path_opt input = try Some (path input) with Error _ -> None
 
 (* Printing --------------------------------------------------------------- *)
 

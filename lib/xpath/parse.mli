@@ -17,8 +17,6 @@ exception Error of string * int
 val path : string -> Ast.t
 (** @raise Error on a syntax error. *)
 
-val path_opt : string -> Ast.t option
-
 val to_string : Ast.t -> string
 (** Inverse of {!path}: [path (to_string p)] equals [p]. *)
 

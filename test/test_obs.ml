@@ -95,16 +95,7 @@ let test_metrics_prefix_render () =
         (String.length l1 > 0 && l1.[0] = 'a')
   | _ -> Alcotest.fail "one line per metric"
 
-(* Counter / Span / Trace ------------------------------------------------- *)
-
-let test_counter () =
-  let c = Counter.make "widgets" in
-  Counter.incr c;
-  Counter.add c 4;
-  check int_t "value" 5 (Counter.value c);
-  check bool_t "metric" true (Counter.metric c = Metrics.int "widgets" 5);
-  Counter.reset c;
-  check int_t "reset" 0 (Counter.value c)
+(* Span / Trace ----------------------------------------------------------- *)
 
 (* the wall clock can step backwards (NTP); elapsed must clamp to zero
    rather than poison downstream sums and histograms *)
@@ -514,7 +505,6 @@ let () =
         ] );
       ( "instruments",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "span clamp" `Quick test_span_clamp;
           Alcotest.test_case "span end on raise" `Quick test_span_end_on_raise;
           Alcotest.test_case "histogram" `Quick test_histogram;

@@ -242,6 +242,82 @@ let test_batched_verify_detects_tampering () =
       done)
     [ Container.Ecb_mht; Container.Cbc_sha; Container.Cbc_shac; Container.Aes_ctr ]
 
+(* The first failure poisons a source. Once a tampered block has made a
+   read raise, neither the same range nor a read inside it may serve the
+   plaintext the failed window left in the caches. *)
+let test_channel_poisoned_after_tamper () =
+  let p = payload 8000 in
+  List.iter
+    (fun scheme ->
+      let name = Container.scheme_to_string scheme in
+      let container =
+        Container.encrypt ~chunk_size:2048 ~fragment_size:256 ~scheme ~key p
+      in
+      (* block 67 of chunk 1 holds payload bytes [2584, 2592) *)
+      let flipped =
+        String.map
+          (fun c -> Char.chr (Char.code c lxor 0xFF))
+          (String.sub (Container.chunk_ciphertext container 1) (67 * 8) 8)
+      in
+      let tampered =
+        Container.substitute_block container ~chunk:1 ~block:67 flipped
+      in
+      let src =
+        Channel.source ~container:tampered ~key (Channel.fresh_counters ())
+      in
+      List.iter
+        (fun (pos, len) ->
+          match src.Decoder.read ~pos ~len with
+          | exception Container.Integrity_failure _ -> ()
+          | _ ->
+              Alcotest.failf "%s: read [%d, +%d) served unverified plaintext"
+                name pos len)
+        [ (2560, 256); (2560, 256); (2584, 8) ])
+    Container.[ Ecb_mht; Cbc_sha; Cbc_shac; Aes_ctr ]
+
+(* A terminal that fails mid-window leaves no unverified ciphertext to
+   read back: it serves chunk 1 fragment 2 with a flipped byte, then
+   fails fetching fragment 3, and every later read re-raises that
+   failure. *)
+let test_channel_poisoned_after_terminal_failure () =
+  let container =
+    Container.encrypt ~chunk_size:1024 ~fragment_size:128
+      ~scheme:Container.Ecb_mht ~key (payload 4096)
+  in
+  let honest = Channel.local_terminal container in
+  let terminal =
+    {
+      honest with
+      Channel.fetch_fragment =
+        (fun ~chunk ~fragment ~lo ~hi ->
+          match (chunk, fragment) with
+          | 1, 2 ->
+              let sl = honest.Channel.fetch_fragment ~chunk ~fragment ~lo ~hi in
+              let b =
+                Bytes.of_string
+                  (String.sub sl.Channel.s_data sl.Channel.s_off (hi - lo))
+              in
+              Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+              { Channel.s_data = Bytes.to_string b; s_off = 0 }
+          | 1, 3 -> failwith "terminal lost"
+          | _ -> honest.Channel.fetch_fragment ~chunk ~fragment ~lo ~hi);
+    }
+  in
+  let src =
+    Channel.source_of_terminal ~terminal ~key (Channel.fresh_counters ())
+  in
+  (* fragments 2 and 3 of chunk 1 hold payload bytes [1280, 1536) *)
+  List.iter
+    (fun (pos, len) ->
+      match src.Decoder.read ~pos ~len with
+      | exception Failure m when m = "terminal lost" -> ()
+      | exception e ->
+          Alcotest.failf "read [%d, +%d) raised %s, not the terminal's failure"
+            pos len (Printexc.to_string e)
+      | _ ->
+          Alcotest.failf "read [%d, +%d) served unverified ciphertext" pos len)
+    [ (1280, 256); (1280, 8); (1280, 256) ]
+
 (* Sessions --------------------------------------------------------------- *)
 
 let small_hospital = Xmlac_workload.Hospital.generate ~seed:7
@@ -697,6 +773,10 @@ let () =
               test_bulk_reads_hit_the_kernel;
             Alcotest.test_case "tampering detected through batched verify"
               `Quick test_batched_verify_detects_tampering;
+            Alcotest.test_case "poisoned after a tamper" `Quick
+              test_channel_poisoned_after_tamper;
+            Alcotest.test_case "poisoned after a terminal failure" `Quick
+              test_channel_poisoned_after_terminal_failure;
           ] );
       ( "session",
         [

@@ -433,8 +433,8 @@ let test_fetch_batch_equivalence () =
   Wire.Client.close single;
   Wire.Client.close batcher
 
-(* a remote session's window planner coalesces its predicted fetches into
-   Batch frames, and the view stays byte-identical to the local one *)
+(* a remote session's windows coalesce their fetches into Batch frames,
+   and the view stays byte-identical to the local one *)
 let test_remote_session_batches_prefetches () =
   let cfg0 = cfg Container.Ecb_mht in
   let published = Session.publish cfg0 ~layout:Layout.Tcsbr hospital in
@@ -447,6 +447,56 @@ let test_remote_session_batches_prefetches () =
     (events_string local) (events_string m);
   check bool_t "prefetch coalesced requests into Batch frames" true
     ((wire_stats m).Wire.Stats.batched_requests > 0)
+
+(* The worst-case window. With one fragment per chunk, every ECB-MHT unit
+   asks for a fragment suffix, a hash state, siblings and a chunk digest,
+   so a 16-unit window fills one Batch of exactly [Protocol.max_batch]
+   sub-requests; CBC-SHA units ask for a chunk and a digest. A read over
+   21 fragments sends a full window, then one of 5 units. *)
+let test_worst_case_window () =
+  let key = Xmlac_crypto.Des.Triple.key_of_string "0123456789abcdefFEDCBA98" in
+  let payload = String.init (24 * 256) (fun i -> Char.chr ((i * 37) mod 251)) in
+  List.iter
+    (fun (scheme, expected) ->
+      let name = Container.scheme_to_string scheme in
+      let container =
+        Container.encrypt ~chunk_size:256 ~fragment_size:256 ~scheme ~key
+          payload
+      in
+      let server = Wire.Server.make container in
+      let batches = ref [] in
+      let connector () =
+        let inner = Wire.Server.loopback_connector server () in
+        let write frame =
+          let h = Wire.Frame.header_bytes in
+          (match
+             Wire.Protocol.decode_request
+               (String.sub frame h (String.length frame - h))
+           with
+          | Wire.Protocol.Batch subs -> batches := List.length subs :: !batches
+          | _ -> ());
+          Wire.Transport.write inner frame
+        in
+        Wire.Transport.make ~read:(Wire.Transport.read inner) ~write
+          ~close:(fun () -> Wire.Transport.close inner)
+          ~peer:"loopback+batch-count" ()
+      in
+      let remote = Remote.connect connector in
+      let src = Remote.source remote ~key (Channel.fresh_counters ()) in
+      let pos = 100 and len = 20 * 256 in
+      let view = src.Xmlac_skip_index.Decoder.read ~pos ~len in
+      Remote.close remote;
+      let local = Channel.source ~container ~key (Channel.fresh_counters ()) in
+      check Alcotest.string (name ^ ": view = local read")
+        (local.Xmlac_skip_index.Decoder.read ~pos ~len)
+        view;
+      check (Alcotest.list int_t)
+        (name ^ ": one Batch per window")
+        expected (List.rev !batches))
+    [
+      (Container.Ecb_mht, [ Wire.Protocol.max_batch; 5 * 4 ]);
+      (Container.Cbc_sha, [ 16 * 2; 5 * 2 ]);
+    ]
 
 let test_out_of_range_is_server_error () =
   let published =
@@ -1516,6 +1566,8 @@ let () =
             test_fetch_batch_equivalence;
           Alcotest.test_case "remote session batches prefetches" `Quick
             test_remote_session_batches_prefetches;
+          Alcotest.test_case "worst-case window fills one Batch" `Quick
+            test_worst_case_window;
         ] );
       ( "adversarial",
         [
