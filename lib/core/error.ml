@@ -1,39 +1,1 @@
-type t =
-  | Xml_malformed of { reason : string; pos : int }
-  | Xpath_invalid of { reason : string; pos : int }
-  | Index_corrupt of string
-  | Index_encode of string
-  | Container_corrupt of string
-  | Integrity_violation of string
-  | Policy_invalid of string
-  | Stream_invalid of string
-
 exception Stream_error of string
-
-let to_string = function
-  | Xml_malformed { reason; pos } ->
-      Printf.sprintf "malformed XML at byte %d: %s" pos reason
-  | Xpath_invalid { reason; pos } ->
-      Printf.sprintf "invalid XPath at position %d: %s" pos reason
-  | Index_corrupt msg -> Printf.sprintf "corrupt skip-index data: %s" msg
-  | Index_encode msg -> Printf.sprintf "skip-index encoding failed: %s" msg
-  | Container_corrupt msg -> Printf.sprintf "corrupt container: %s" msg
-  | Integrity_violation msg -> Printf.sprintf "integrity violation: %s" msg
-  | Policy_invalid msg -> Printf.sprintf "invalid policy: %s" msg
-  | Stream_invalid msg -> Printf.sprintf "invalid event stream: %s" msg
-
-(* The crypto library sits below this one in the dependency order, so its
-   two exceptions are classified by the layers that see both (lib/soe,
-   lib/fuzz, bin) via the [Container_corrupt]/[Integrity_violation]
-   constructors; this classifier covers everything reachable from here. *)
-let of_exn = function
-  | Xmlac_xml.Parser.Malformed (reason, pos) ->
-      Some (Xml_malformed { reason; pos })
-  | Xmlac_xpath.Parse.Error (reason, pos) ->
-      Some (Xpath_invalid { reason; pos })
-  | Xmlac_skip_index.Error.Error (Xmlac_skip_index.Error.Corrupt msg) ->
-      Some (Index_corrupt msg)
-  | Xmlac_skip_index.Error.Error (Xmlac_skip_index.Error.Encode_failure msg) ->
-      Some (Index_encode msg)
-  | Stream_error msg -> Some (Stream_invalid msg)
-  | _ -> None

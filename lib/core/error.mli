@@ -1,32 +1,12 @@
-(** The pipeline's shared error taxonomy.
+(** The evaluator's typed input error.
 
-    Every trust boundary of the system — raw XML into the parser, encoded
-    bytes into the skip-index decoder, container bytes into the crypto
-    layer, policy text into {!Policy}, event streams into the
-    {!Evaluator} — signals hostile or damaged input through a typed
-    channel that this type unifies. The invariant (checked by the fuzzing
-    harness, [lib/fuzz]): hostile bytes produce a typed [Error], never an
-    uncaught exception and never a wrong view. *)
-
-type t =
-  | Xml_malformed of { reason : string; pos : int }
-  | Xpath_invalid of { reason : string; pos : int }
-  | Index_corrupt of string  (** skip-index bytes *)
-  | Index_encode of string  (** encoder-side failure (fixpoint safety net) *)
-  | Container_corrupt of string  (** container framing *)
-  | Integrity_violation of string  (** digest/Merkle mismatch *)
-  | Policy_invalid of string
-  | Stream_invalid of string  (** unbalanced / truncated event stream *)
+    Each trust boundary of the system signals hostile or damaged input
+    through its own typed exception or result (see DESIGN.md, "Error
+    taxonomy & fuzzing"), and that is what callers catch; this module
+    holds the one that belongs to the event-stream boundary of
+    {!Evaluator}. *)
 
 exception Stream_error of string
 (** Raised by the streaming evaluator on an event stream no well-formed
     input can produce: a close without a matching open, a second root, or
     an input that ends with elements still open. *)
-
-val to_string : t -> string
-
-val of_exn : exn -> t option
-(** Classify the typed exceptions of the layers this library depends on
-    (XML, XPath, skip index, evaluator). Crypto-layer exceptions
-    ([Secure_container.Corrupt] / [Integrity_failure]) are mapped by the
-    layers that depend on both (SOE, fuzzing harness, CLI). *)

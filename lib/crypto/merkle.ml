@@ -14,18 +14,34 @@ let levels leaf_count =
   let rec go l n = if n = 1 then l else go (l + 1) (n / 2) in
   go 0 leaf_count
 
+(* Heap layout: node 1 is the root, the children of node k are 2k and
+   2k + 1, and leaf i of an m-leaf tree is node m + i; slot 0 is unused. *)
+let tree_unchecked leaves =
+  let m = Array.length leaves in
+  let t = Array.make (2 * m) "" in
+  Array.blit leaves 0 t m m;
+  for k = m - 1 downto 1 do
+    t.(k) <- combine t.(2 * k) t.((2 * k) + 1)
+  done;
+  t
+
+let tree leaves =
+  if not (is_power_of_two (Array.length leaves)) then
+    invalid_arg "Merkle.tree: leaf count must be a power of two";
+  tree_unchecked leaves
+
 let root_of_leaves leaves =
-  let n = Array.length leaves in
-  if not (is_power_of_two n) then
+  if not (is_power_of_two (Array.length leaves)) then
     invalid_arg "Merkle.root_of_leaves: leaf count must be a power of two";
-  let rec reduce layer =
-    match Array.length layer with
-    | 1 -> layer.(0)
-    | m ->
-        reduce
-          (Array.init (m / 2) (fun i -> combine layer.(2 * i) layer.((2 * i) + 1)))
-  in
-  reduce leaves
+  (tree_unchecked leaves).(1)
+
+(* a one-leaf cover holds one node per level, bottom-up: the sibling of
+   the leaf, then of each ancestor below the root *)
+let siblings tree ~fragment =
+  let m = Array.length tree / 2 in
+  if fragment < 0 || fragment >= m then invalid_arg "Merkle.siblings: bad fragment";
+  let rec up k = if k = 1 then [] else tree.(k lxor 1) :: up (k lsr 1) in
+  up (m + fragment)
 
 let node_hash leaves { level; index } =
   let n = Array.length leaves in
@@ -71,16 +87,50 @@ let root_from_cover ~leaf_count ~known ~supplied =
   hash_of (levels leaf_count) 0
 
 let root_from_group ~leaf_count group =
-  let known = List.map (fun (i, h, _) -> (i, h)) group in
-  let holds_known { level; index } =
-    let w = 1 lsl level in
-    List.exists (fun (i, _) -> i >= index * w && i < (index + 1) * w) known
+  if not (is_power_of_two leaf_count) then
+    invalid_arg "Merkle.root_from_group: leaf count must be a power of two";
+  let m = leaf_count in
+  let nodes = Array.make (2 * m) "" in
+  (* flags, never a digest value a terminal could send: whether a node's
+     digest is in [nodes], and whether a known leaf lies at or below it *)
+  let present = Array.make (2 * m) false in
+  let holds_known = Array.make (2 * m) false in
+  let leaf i =
+    if i < 0 || i >= m then invalid_arg "Merkle.root_from_group: bad leaf index";
+    m + i
   in
-  let supplied =
-    List.concat_map
-      (fun (i, _, digests) ->
-        List.combine (sibling_cover ~leaf_count ~lo:i ~hi:i) digests)
-      group
-    |> List.filter (fun (n, _) -> not (holds_known n))
-  in
-  root_from_cover ~leaf_count ~known ~supplied
+  List.iter
+    (fun (i, h, _) ->
+      let k = leaf i in
+      nodes.(k) <- h;
+      present.(k) <- true;
+      let a = ref k in
+      while !a >= 1 && not holds_known.(!a) do
+        holds_known.(!a) <- true;
+        a := !a lsr 1
+      done)
+    group;
+  (* each member's cover, bottom-up: a digest lands only where no known
+     leaf lies below it, so every known leaf reaches the root *)
+  List.iter
+    (fun (i, _, digests) ->
+      let rec place k = function
+        | [] -> if k <> 1 then invalid_arg "Merkle.root_from_group: short sibling list"
+        | d :: ds ->
+            if k = 1 then invalid_arg "Merkle.root_from_group: long sibling list";
+            let s = k lxor 1 in
+            if not holds_known.(s) then begin
+              nodes.(s) <- d;
+              present.(s) <- true
+            end;
+            place (k lsr 1) ds
+      in
+      place (leaf i) digests)
+    group;
+  for k = m - 1 downto 1 do
+    if (not present.(k)) && present.(2 * k) && present.((2 * k) + 1) then begin
+      nodes.(k) <- combine nodes.(2 * k) nodes.((2 * k) + 1);
+      present.(k) <- true
+    end
+  done;
+  if present.(1) then Some nodes.(1) else None

@@ -16,6 +16,22 @@ val root_of_leaves : string array -> string
 (** Full recomputation (used when building the document).
     @raise Invalid_argument if the length is not a positive power of 2. *)
 
+val tree : string array -> string array
+(** Every node digest of the tree over [m] leaves, in heap layout: an
+    array of [2m] slots where node 1 is the root, the children of node [k]
+    are [2k] and [2k + 1], and leaf [i] is node [m + i] (slot 0 is unused).
+    Costs the same [m - 1] combines as {!root_of_leaves}. This is the
+    terminal's node table: {!Secure_container.chunk_tree} keeps one per
+    chunk, shared by every reader of the container, so it must not be
+    mutated. @raise Invalid_argument if the length is not a positive
+    power of 2. *)
+
+val siblings : string array -> fragment:int -> string list
+(** The sibling digests of leaf [fragment] read out of a {!tree}, in
+    [sibling_cover ~lo:fragment ~hi:fragment] order — what a terminal
+    answers to a sibling request, by lookup alone.
+    @raise Invalid_argument if [fragment] is not a leaf of the tree. *)
+
 val sibling_cover : leaf_count:int -> lo:int -> hi:int -> node list
 (** The internal/leaf nodes whose hashes the terminal must supply so that a
     verifier knowing only leaves [lo..hi] (inclusive) can recompute the
@@ -34,15 +50,19 @@ val root_from_group :
   leaf_count:int -> (int * string * string list) list -> string option
 (** One recombination for several known leaves of a tree: each
     [(index, leaf_hash, siblings)] carries a leaf and the digests of its
-    one-leaf cover, in [sibling_cover ~lo:index ~hi:index] order. Supplied
-    nodes whose subtree holds a known leaf are dropped before
-    {!root_from_cover} runs, so every known leaf is hashed into the root:
-    a leaf must not hide behind a digest the terminal supplied for another
-    member of the group. For a one-leaf group this is the per-path
-    {!root_from_cover}. [None] if the covers are incomplete.
+    one-leaf cover, in [sibling_cover ~lo:index ~hi:index] order. It works
+    in {!tree}'s heap layout: the known leaves are placed and their
+    ancestors marked, a member's sibling digest is placed only where no
+    known leaf lies below it, and the rest is combined bottom-up, so every
+    known leaf is hashed into the root: a leaf must not hide behind a
+    digest the terminal supplied for another member of the group. Which
+    nodes are present is kept in flags, never read from a digest's
+    value. For a one-leaf group this is the per-path {!root_from_cover},
+    which stays as its test oracle. [None] if the covers are incomplete.
     @raise Invalid_argument if a sibling list's length differs from its
-    cover's. *)
+    cover's, or a leaf index is out of range. *)
 
 val node_hash : string array -> node -> string
-(** Hash of an arbitrary tree node, recomputed from all leaves (terminal
-    side). *)
+(** Hash of an arbitrary tree node, recomputed from all leaves: the
+    reference the tests check {!tree}, {!siblings} and the covers against.
+    No terminal calls it; terminals read their node tables. *)

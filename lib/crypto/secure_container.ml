@@ -47,10 +47,17 @@ type t = {
   generation : int;  (* bumped once per (incremental) republication *)
   key_epoch : int;  (* bumped on document-key rotation *)
   versions : int array;  (* generation at which each chunk was last rewritten *)
-  roots : string array;
-      (* publisher-side cache of clear MHT roots ("" when absent): lets an
-         incremental republish reseal an untouched chunk without re-hashing
-         its fragments. Never serialized; terminals reconstruct nothing. *)
+  trees : string array array;
+      (* per-chunk Merkle node table ({!Merkle.tree} over the chunk's
+         fragment leaf hashes; [[||]] until built). Never serialized.
+         [encrypt] and [reencrypt] fill it as they hash; [reencrypt] and
+         [patch] carry it with the ciphertext they keep, as a leaf hash
+         binds the chunk index, the fragment index and the ciphertext,
+         never the header; [patch] and [substitute_block] drop it with the
+         ciphertext they replace; [chunk_tree] builds a missing one. So a
+         publisher reseals a clean chunk with one small hash, and every
+         terminal on a container value (and on the generations after it)
+         shares one hashing per chunk and reads siblings by lookup. *)
 }
 
 let chunk_size t = t.chunk_size
@@ -157,14 +164,22 @@ let fragment_leaf_hash_sub t ~chunk ~fragment ~cipher ~pos ~len =
 
 let seal_root t ~chunk ~root = chunk_payload_digest t ~chunk ~data:root
 
-let mht_root t ~chunk ~cipher =
-  let m = fragments_per_chunk t in
-  let leaves =
-    Array.init m (fun i ->
-        fragment_leaf_hash_sub t ~chunk ~fragment:i ~cipher
-          ~pos:(i * t.fragment_size) ~len:t.fragment_size)
-  in
-  Merkle.root_of_leaves leaves
+let mht_leaves t ~chunk ~cipher =
+  Array.init (fragments_per_chunk t) (fun i ->
+      fragment_leaf_hash_sub t ~chunk ~fragment:i ~cipher
+        ~pos:(i * t.fragment_size) ~len:t.fragment_size)
+
+(* The node table of chunk [i], built from its ciphertext on first use. A
+   fill is one array write of a finished table; callers that share a
+   container across domains fill under a lock (the server's cache
+   mutex). *)
+let chunk_tree t i =
+  match t.trees.(i) with
+  | [||] ->
+      let tree = Merkle.tree (mht_leaves t ~chunk:i ~cipher:t.chunks.(i)) in
+      t.trees.(i) <- tree;
+      tree
+  | tree -> tree
 
 (* The padded plaintext of chunk [i] as a (buffer, offset) view: every
    chunk but a short last one reads the payload in place; only that one
@@ -178,14 +193,18 @@ let plain_view t payload i =
     (Bytes.unsafe_to_string b, 0)
   end
 
-let clear_digest t ~chunk ~payload ~cipher =
+(* Clear digest of a chunk; under ECB-MHT the root comes from the
+   chunk's node table, so resealing a chunk whose table was carried costs
+   one small hash, not a tree rebuild. *)
+let chunk_digest t ~chunk ~payload =
   match t.scheme with
   | Ecb -> ""
   | Cbc_sha ->
       let data, pos = plain_view t payload chunk in
       chunk_digest_sub t ~chunk data ~pos ~len:t.chunk_size
-  | Cbc_shac | Aes_ctr -> expected_digest_of_cipher t ~chunk ~cipher
-  | Ecb_mht -> seal_root t ~chunk ~root:(mht_root t ~chunk ~cipher)
+  | Cbc_shac | Aes_ctr ->
+      expected_digest_of_cipher t ~chunk ~cipher:t.chunks.(chunk)
+  | Ecb_mht -> seal_root t ~chunk ~root:(chunk_tree t chunk).(1)
 
 (* Blob-taking variant: over the wire the digest arrives from an untrusted
    terminal, so its size is validated as an integrity property, not assumed. *)
@@ -214,11 +233,6 @@ let decrypt_digest t ~key chunk =
   match t.digests.(chunk) with
   | "" -> invalid_arg "Secure_container.decrypt_digest: scheme has no digests"
   | blob -> decrypt_digest_blob ~scheme:t.scheme ~key ~chunk blob
-
-(* The MHT root of a chunk depends only on the chunk index and ciphertext
-   (not the header tag), so a cached root survives header-only changes. *)
-let clear_root t ~chunk ~cipher =
-  match t.scheme with Ecb_mht -> mht_root t ~chunk ~cipher | _ -> ""
 
 (* Positional-ECB blocks are bound to absolute offsets, which run on across
    chunk boundaries, so a run of consecutive chunks is one range of the
@@ -288,15 +302,6 @@ let iter_runs flags f =
     end
   done
 
-(* Clear digest of a chunk, reusing the cached clear MHT root when available
-   so resealing an untouched chunk costs one small hash, not a tree
-   rebuild. *)
-let chunk_digest t ~chunk ~payload =
-  match t.scheme with
-  | Ecb_mht when t.roots.(chunk) <> "" ->
-      seal_root t ~chunk ~root:t.roots.(chunk)
-  | _ -> clear_digest t ~chunk ~payload ~cipher:t.chunks.(chunk)
-
 (* Seal the chunks [first..last]. Consecutive chunks' digest blobs are
    consecutive in the digest position space, so they are encrypted
    together: one kernel run (and, for AES-CTR, one key derivation) instead
@@ -347,14 +352,11 @@ let encrypt ?(chunk_size = 2048) ?(fragment_size = 256) ?(generation = 0)
       generation;
       key_epoch;
       versions = Array.make nchunks generation;
-      roots = Array.make nchunks "";
+      trees = Array.make nchunks [||];
     }
   in
   let cipher = Modes.of_triple_des_fast_encrypt key in
   encrypt_run t ~key ~cipher ~payload ~first:0 ~last:(nchunks - 1);
-  for i = 0 to nchunks - 1 do
-    t.roots.(i) <- clear_root t ~chunk:i ~cipher:t.chunks.(i)
-  done;
   seal_run t ~key ~cipher ~payload ~first:0 ~last:(nchunks - 1);
   t
 
@@ -383,8 +385,8 @@ let chunk_differs ~chunk_size a b i =
 
    When the payload length changes, every chunk digest changes too (the
    digest binds the header, and the header binds the payload length): clean
-   chunks are {e resealed} — their ciphertext, and for ECB-MHT their cached
-   subtree hashes, are reused — which is hashing work only, never payload
+   chunks are {e resealed} — their ciphertext, and for ECB-MHT their node
+   tables, are reused — which is hashing work only, never payload
    re-encryption. *)
 let reencrypt t ~key ~old_payload ~payload =
   if String.length old_payload <> t.payload_len then
@@ -412,7 +414,7 @@ let reencrypt t ~key ~old_payload ~payload =
       digests = Array.make nchunks "";
       generation;
       versions = Array.make nchunks generation;
-      roots = Array.make nchunks "";
+      trees = Array.make nchunks [||];
     }
   in
   let cipher = Modes.of_triple_des_fast_encrypt key in
@@ -420,15 +422,12 @@ let reencrypt t ~key ~old_payload ~payload =
       encrypt_run t' ~key ~cipher ~payload ~first ~last);
   let rewritten = ref [] in
   for i = nchunks - 1 downto 0 do
-    if dirty.(i) then begin
-      rewritten := i :: !rewritten;
-      t'.roots.(i) <- clear_root t' ~chunk:i ~cipher:t'.chunks.(i)
-    end
+    if dirty.(i) then rewritten := i :: !rewritten
     else begin
-      (* physical reuse: unchanged ciphertext (and subtree hashes) are the
-         same strings, so a delta only ever carries dirty chunks *)
+      (* physical reuse: unchanged ciphertext (and node table) are the
+         same values, so a delta only ever carries dirty chunks *)
       t'.chunks.(i) <- t.chunks.(i);
-      t'.roots.(i) <- t.roots.(i);
+      t'.trees.(i) <- t.trees.(i);
       t'.versions.(i) <- t.versions.(i);
       t'.digests.(i) <- t.digests.(i)
     end
@@ -545,7 +544,7 @@ let of_bytes s =
     generation;
     key_epoch;
     versions;
-    roots = Array.make nchunks "";
+    trees = Array.make nchunks [||];
   }
 
 let of_bytes_result s =
@@ -583,7 +582,7 @@ let geometry ?(generation = 0) ?(key_epoch = 0) ~scheme ~chunk_size
         generation;
         key_epoch;
         versions = Array.make chunk_count 0;
-        roots = Array.make chunk_count "";
+        trees = Array.make chunk_count [||];
       }
 
 (* Keyless republication: graft new ciphertext/digest material onto an
@@ -608,10 +607,12 @@ let patch t ~payload_length ~generation ~key_epoch ~full ~reseals =
     let chunks = Array.make nchunks "" in
     let digests = Array.make nchunks "" in
     let versions = Array.make nchunks 0 in
+    let trees = Array.make nchunks [||] in
     let carried = min old_n nchunks in
     Array.blit t.chunks 0 chunks 0 carried;
     Array.blit t.digests 0 digests 0 carried;
     Array.blit t.versions 0 versions 0 carried;
+    Array.blit t.trees 0 trees 0 carried;
     List.iter
       (fun (i, version, cipher, digest) ->
         if i < 0 || i >= nchunks then reject "chunk %d outside new geometry" i;
@@ -625,7 +626,8 @@ let patch t ~payload_length ~generation ~key_epoch ~full ~reseals =
           reject "chunk %d version %d exceeds generation %d" i version generation;
         chunks.(i) <- cipher;
         digests.(i) <- digest;
-        versions.(i) <- version)
+        versions.(i) <- version;
+        trees.(i) <- [||])
       full;
     List.iter
       (fun (i, digest) ->
@@ -648,8 +650,7 @@ let patch t ~payload_length ~generation ~key_epoch ~full ~reseals =
         generation;
         key_epoch;
         versions;
-        (* grafted ciphertext invalidates any cached subtree hashes *)
-        roots = Array.make nchunks "";
+        trees;
       }
   with Reject msg -> Error msg
 
@@ -666,7 +667,9 @@ let substitute_block t ~chunk ~block replacement =
   let b = Bytes.of_string chunks.(chunk) in
   Bytes.blit_string replacement 0 b (8 * block) 8;
   chunks.(chunk) <- Bytes.to_string b;
-  { t with chunks }
+  let trees = Array.copy t.trees in
+  trees.(chunk) <- [||];
+  { t with chunks; trees }
 
 let decrypt_chunk_cipher_into ?ctx t ~key ~chunk ~cipher ~dst =
   if String.length cipher <> t.chunk_size then
@@ -721,7 +724,9 @@ let verify_chunk t ~key i ~plain =
     | Cbc_shac | Aes_ctr ->
         Some (expected_digest_of_cipher t ~chunk:i ~cipher:t.chunks.(i))
     | Ecb_mht ->
-        Some (seal_root t ~chunk:i ~root:(mht_root t ~chunk:i ~cipher:t.chunks.(i)))
+        (* the key holder recomputes the tree, never reads the table *)
+        let leaves = mht_leaves t ~chunk:i ~cipher:t.chunks.(i) in
+        Some (seal_root t ~chunk:i ~root:(Merkle.root_of_leaves leaves))
   in
   match expected with
   | None -> ()

@@ -100,8 +100,9 @@ val reencrypt :
     position (plus appended chunks, plus the last surviving chunk on a
     shrink) — the same rule [Skip_index.Update] uses to predict
     [chunks_to_reencrypt]. Unchanged chunks physically reuse the old
-    ciphertext strings (and, for ECB-MHT, the cached subtree hashes: a
-    reseal recomputes no fragment hash). Returns the new container and the
+    ciphertext strings and node tables ({!chunk_tree}): under ECB-MHT a
+    reseal recomputes no fragment hash, and the new container's terminals
+    start with the old one's tables. Returns the new container and the
     sorted rewritten-chunk list. When the payload length changes, clean
     chunks are resealed (digest-only rewrite) because every digest binds
     the header geometry. Dirty chunks are found in one pass over both
@@ -158,10 +159,12 @@ val patch :
     [reseals] [(chunk, encrypted digest)] onto [t], extending or
     truncating to [payload_length]'s geometry and moving to [generation] /
     [key_epoch]. Chunks not named keep their ciphertext, digest and
-    version. Structural rules are re-validated (sizes, hole-freedom,
-    monotone generation/epoch, versions bounded by [generation]), so a
-    hostile delta yields [Error], never an inconsistent container; content
-    authenticity stays with the SOE's digest checks. *)
+    version, and a kept chunk keeps its node table ({!chunk_tree}); a
+    grafted chunk starts without one. Structural rules are re-validated
+    (sizes, hole-freedom, monotone generation/epoch, versions bounded by
+    [generation]), so a hostile delta yields [Error], never an
+    inconsistent container; content authenticity stays with the SOE's
+    digest checks. *)
 
 (** {2 Terminal-side accessors (no secrets involved)} *)
 
@@ -174,8 +177,24 @@ val encrypted_digest : t -> int -> string
 
 val fragment_ciphertext : t -> chunk:int -> fragment:int -> string
 
+val chunk_tree : t -> int -> string array
+(** The Merkle node table of chunk [i] ({!Merkle.tree} over its fragment
+    leaf hashes), which a terminal reads sibling digests from
+    ({!Merkle.siblings}). Tables are never serialized: {!encrypt} and
+    {!reencrypt} keep the tables they hash under ECB-MHT, {!reencrypt} and
+    {!patch} carry the table of every chunk whose ciphertext they keep
+    (a leaf hash binds the chunk index, the fragment index and the
+    ciphertext, not the header), and {!patch} and {!substitute_block} drop
+    the table of every chunk they replace. A parsed or grafted chunk's
+    table is built here on first use and kept in the container value, so
+    every terminal on that value, and the next generation's unchanged
+    chunks, share one hashing. A fill writes the container: it happens on
+    one domain at a time (the wire server fills under its cache mutex).
+    The table is shared and must not be mutated. *)
+
 val substitute_block : t -> chunk:int -> block:int -> string -> t
-(** Tamper helper for tests: replace one 8-byte ciphertext block. *)
+(** Tamper helper for tests: replace one 8-byte ciphertext block (the
+    chunk's node table is dropped with its old ciphertext). *)
 
 (** {2 SOE-side primitives (hold the key)} *)
 

@@ -123,24 +123,7 @@ type terminal = {
 }
 
 let local_terminal container =
-  (* terminal-side memo of per-chunk fragment leaf hashes (the terminal is
-     an ordinary computer and caches freely) *)
-  let terminal_leaves : (int, string array) Hashtbl.t = Hashtbl.create 8 in
-  let frags_per_chunk = C.fragments_per_chunk container in
   let frag_size = C.fragment_size container in
-  let leaf_hash chunk fragment =
-    C.fragment_leaf_hash_sub container ~chunk ~fragment
-      ~cipher:(C.chunk_ciphertext container chunk)
-      ~pos:(fragment * frag_size) ~len:frag_size
-  in
-  let leaves chunk =
-    match Hashtbl.find_opt terminal_leaves chunk with
-    | Some l -> l
-    | None ->
-        let l = Array.init frags_per_chunk (fun i -> leaf_hash chunk i) in
-        Hashtbl.replace terminal_leaves chunk l;
-        l
-  in
   {
     t_container = container;
     fetch_fragment =
@@ -161,11 +144,10 @@ let local_terminal container =
         Sha1.export_state ctx);
     fetch_siblings =
       (fun ~chunk ~fragment ->
-        let cover =
-          Merkle.sibling_cover ~leaf_count:frags_per_chunk ~lo:fragment
-            ~hi:fragment
-        in
-        List.map (Merkle.node_hash (leaves chunk)) cover);
+        (* by lookup in the container's node table, built once per chunk
+           for every terminal on this container (a terminal is an
+           ordinary computer and caches freely) *)
+        Merkle.siblings (C.chunk_tree container chunk) ~fragment);
     fetch_many = None;
   }
 

@@ -122,10 +122,15 @@ type terminal = {
 
 val local_terminal : Xmlac_crypto.Secure_container.t -> terminal
 (** The in-process terminal: serves the container directly (fragment reads
-    are zero-copy {!slice} views into chunk ciphertext) and memoizes
-    per-chunk fragment leaf hashes (a terminal is an ordinary computer and
-    caches freely). [fetch_many] is [None] — there is no round trip to
-    save. *)
+    are zero-copy {!slice} views into chunk ciphertext) and reads sibling
+    digests out of the container's per-chunk node tables
+    ({!Xmlac_crypto.Secure_container.chunk_tree}). It keeps no state of
+    its own: a table is built on the first request for its chunk, or was
+    kept by [encrypt] or carried from the previous generation, and every
+    terminal on the same container value reuses it — a terminal is an
+    ordinary computer and caches freely. Fills write the container, so a
+    container shared across domains needs its tables filled on one domain
+    at a time. [fetch_many] is [None] — there is no round trip to save. *)
 
 val frag_cache_capacity : int
 (** Fragments the SOE-side fragment cache holds: 8, about a 2 KB working

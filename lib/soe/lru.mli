@@ -1,7 +1,7 @@
 (** Least-recently-used cache for the SOE's per-session working set.
 
     This is the shared {!Xmlac_runtime.Lru} (the terminal registry's
-    shared leaf-hash cache is the same structure). O(1)
+    shared node-table cache is the same structure). O(1)
     find/insert/evict (Hashtbl + intrusive recency list). All caches of a
     session share one {!stats} record, which feeds the [cache.*] counters
     of [Session.metrics]; the counters depend only on the lookup sequence,

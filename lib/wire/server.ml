@@ -7,7 +7,7 @@ module Lru = Xmlac_runtime.Lru
    shared cache keys survive unpublish/republish of the same id without
    ever serving stale data; a delta republish ([apply_delta]) keeps [gen]
    — cache keys carry the per-chunk version instead, so untouched chunks
-   keep their cached leaf hashes across the republish. [revoked] is the
+   keep their cached node tables across the republish. [revoked] is the
    cumulative revocation list the container's deltas carry. *)
 type entry = {
   e_id : string;
@@ -21,14 +21,20 @@ type t = {
   mutable entries : entry list;  (* publish order; head of order = default *)
   mutable gen_counter : int;
   registry_mutex : Mutex.t;
-  (* registry-level cache of per-chunk fragment leaf hashes, shared by
+  (* registry-level cache of per-chunk Merkle node tables, shared by
      every session of every container — the terminal is an ordinary
      computer and caches freely; bounded so a wide fleet of containers
      cannot grow it without limit. Keyed by (publication generation,
      chunk, chunk version), never by id: a full republish invalidates via
      the fresh generation, a delta republish via the bumped versions of
-     exactly the rewritten chunks. *)
-  leaves_cache : (int * int * int, string array) Lru.t;
+     exactly the rewritten chunks. A miss takes the table from
+     [C.chunk_tree], which builds it only when the container holds none
+     (a parsed container, or a chunk a delta grafted; [apply_delta]'s
+     patch carries the kept chunks' tables): that fill writes the shared
+     container, so it runs under [cache_mutex], one domain at a time. A
+     sibling request is then a lookup ([Merkle.siblings]), with no
+     combine. *)
+  tree_cache : (int * int * int, string array) Lru.t;
   cache_stats : Lru.stats;
   cache_mutex : Mutex.t;
   (* encoded Sync answers, keyed (id, from_gen, to_gen): a fleet of
@@ -47,7 +53,7 @@ let create () =
     entries = [];
     gen_counter = 0;
     registry_mutex = Mutex.create ();
-    leaves_cache = Lru.create ~capacity:cache_capacity ~stats:cache_stats;
+    tree_cache = Lru.create ~capacity:cache_capacity ~stats:cache_stats;
     cache_stats;
     cache_mutex = Mutex.create ();
     delta_cache =
@@ -83,7 +89,8 @@ let publish ?(revoked = []) t ~id container =
 
 (* Delta republish: advance [id]'s container by one (or more) generations
    without touching the clean chunks' identity — [gen] is kept, so their
-   shared leaf-hash cache entries (keyed by chunk version) stay warm.
+   shared node-table cache entries (keyed by chunk version) stay warm, and
+   the patched container carries their tables too.
    Sessions already bound keep serving their immutable snapshot; new
    hellos and [Sync]s see the new generation. *)
 let apply_delta t ~id delta =
@@ -158,37 +165,31 @@ let be_bytes value width =
   String.init width (fun i ->
       Char.chr ((value lsr (8 * (width - 1 - i))) land 0xFF))
 
-(* Per-chunk fragment leaf hashes through the shared registry cache, and
-   whether the cache already held them — the caller attributes the hit or
-   miss to its tenant (the registry-level [cache_stats] totals ride on the
-   LRU itself). *)
-let leaves t e chunk =
+(* A chunk's node table through the shared registry cache, and whether
+   the cache already held it — the caller attributes the hit or miss to
+   its tenant (the registry-level [cache_stats] totals ride on the LRU
+   itself). *)
+let cached_tree t e chunk =
   let key = (e.gen, chunk, C.chunk_version e.container chunk) in
-  let l, hit =
+  let tree, hit =
     with_lock t.cache_mutex @@ fun () ->
-    match Lru.find t.leaves_cache key with
-    | Some l -> (l, true)
+    match Lru.find t.tree_cache key with
+    | Some tree -> (tree, true)
     | None ->
-        let m = C.fragments_per_chunk e.container in
-        let cipher = C.chunk_ciphertext e.container chunk in
-        let fsize = C.fragment_size e.container in
-        let l =
-          Array.init m (fun i ->
-              C.fragment_leaf_hash_sub e.container ~chunk ~fragment:i ~cipher
-                ~pos:(i * fsize) ~len:fsize)
-        in
-        Lru.insert t.leaves_cache key l;
-        (l, false)
+        let tree = C.chunk_tree e.container chunk in
+        Lru.insert t.tree_cache key tree;
+        (tree, false)
   in
   (* linked to the enclosing server.request span via the ambient context;
-     free (one ref read) when tracing is off *)
-  Xmlac_obs.Span.event "server.cache"
-    [
-      ("container", Xmlac_obs.Json.String e.e_id);
-      ("chunk", Xmlac_obs.Json.Int chunk);
-      ("hit", Xmlac_obs.Json.Bool hit);
-    ];
-  (l, hit)
+     the fields are built only when a trace sink is on *)
+  if Xmlac_obs.Trace.enabled () then
+    Xmlac_obs.Span.event "server.cache"
+      [
+        ("container", Xmlac_obs.Json.String e.e_id);
+        ("chunk", Xmlac_obs.Json.Int chunk);
+        ("hit", Xmlac_obs.Json.Bool hit);
+      ];
+  (tree, hit)
 
 let err code fmt =
   Printf.ksprintf (fun message -> Protocol.Err { code; message }) fmt
@@ -242,7 +243,7 @@ let check_fragment e chunk fragment k =
       (C.fragments_per_chunk e.container)
   else k ()
 
-(* One request's share of the shared leaf-hash cache, for its tenant. *)
+(* One request's share of the shared node-table cache, for its tenant. *)
 type tally = { mutable hits : int; mutable misses : int }
 
 (* One decoded data request -> one response, against one bound container.
@@ -306,15 +307,10 @@ let rec handle_request t e tally req =
           (C.scheme_to_string scheme)
       else
         check_fragment e chunk fragment @@ fun () ->
-        let cover =
-          Merkle.sibling_cover
-            ~leaf_count:(C.fragments_per_chunk e.container)
-            ~lo:fragment ~hi:fragment
-        in
-        let l, hit = leaves t e chunk in
+        let tree, hit = cached_tree t e chunk in
         if hit then tally.hits <- tally.hits + 1
         else tally.misses <- tally.misses + 1;
-        Protocol.Siblings (List.map (Merkle.node_hash l) cover)
+        Protocol.Siblings (Merkle.siblings tree ~fragment)
   | Batch subs ->
       (* one reply per sub-request, in order; a failing sub becomes its
          own Err item instead of poisoning its batch-mates *)

@@ -7,10 +7,11 @@
     Sessions address a container by id in their hello ([""] selects the
     default: the first-ever publication). A hello may also request session
     multiplexing, switching the connection to session-id framing so many
-    SOE sessions share one socket. Per-chunk fragment leaf hashes live in
-    one bounded registry-level LRU shared across every session of every
-    container, with per-tenant hit/miss attribution in {!telemetry} — the
-    terminal's only accounting.
+    SOE sessions share one socket. Per-chunk Merkle node tables
+    ({!Xmlac_crypto.Secure_container.chunk_tree}) live in one bounded
+    registry-level LRU shared across every session of every container, so
+    a sibling request is a table lookup; hits and misses are attributed
+    per tenant in {!telemetry} — the terminal's only accounting.
 
     Request handling is {e total}: malformed frames and out-of-range or
     scheme-inappropriate requests produce [Err] replies (or end the
@@ -19,7 +20,7 @@
 type t
 
 val create : unit -> t
-(** An empty registry. Its shared leaf-hash cache holds 1024 per-chunk
+(** An empty registry. Its shared node-table cache holds 1024 per-chunk
     entries. *)
 
 val make : Xmlac_crypto.Secure_container.t -> t
@@ -47,8 +48,9 @@ val apply_delta :
 (** Advance [id]'s container by a chunk delta (the registry republish
     path): validates and grafts via {!Xmlac_dissem.Delta.apply}, replaces
     the entry in place, and adopts the delta's revocation list. Unlike
-    {!publish}, untouched chunks keep their shared leaf-hash cache entries
-    (cache keys carry per-chunk versions), and subsequent [Sync]s are
+    {!publish}, untouched chunks keep their shared node-table cache
+    entries (cache keys carry per-chunk versions) and their tables in the
+    advanced container, and subsequent [Sync]s are
     answered from the new generation — sessions already bound keep
     serving their immutable snapshot. Returns the advanced container. *)
 
@@ -67,7 +69,7 @@ val metadata : t -> Protocol.metadata
 val metadata_of : t -> string -> Protocol.metadata option
 
 val cache_stats : t -> Xmlac_runtime.Lru.stats
-(** Snapshot of the registry-level shared leaf-hash cache counters. *)
+(** Snapshot of the registry-level shared node-table cache counters. *)
 
 val telemetry : t -> Telemetry.t
 (** The registry's telemetry: per-tenant counters and service-time

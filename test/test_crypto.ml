@@ -735,6 +735,22 @@ let merkle_group_single_leaf =
       Merkle.root_from_group ~leaf_count:m group
       = Merkle.root_from_cover ~leaf_count:m ~known:[ (i, l.(i)) ] ~supplied)
 
+(* the node table against the per-node reference *)
+let merkle_tree_lookup =
+  qtest "node table: root and sibling lookups = node_hash"
+    QCheck2.Gen.(pair (int_range 0 5) (int_range 0 1_000_000))
+    (fun (k, seed) ->
+      let m = 1 lsl k in
+      let l = group_leaves m seed in
+      let tree = Merkle.tree l in
+      tree.(1) = Merkle.root_of_leaves l
+      && List.for_all
+           (fun f ->
+             Merkle.siblings tree ~fragment:f
+             = List.map (Merkle.node_hash l)
+                 (Merkle.sibling_cover ~leaf_count:m ~lo:f ~hi:f))
+           (List.init m Fun.id))
+
 (* Secure container ------------------------------------------------------- *)
 
 let payload n = String.init n (fun i -> Char.chr ((i * 131 + 7) mod 256))
@@ -962,6 +978,89 @@ let prop_wrong_key_never_succeeds_quietly =
       | exception Secure_container.Integrity_failure _ -> true
       | out -> not (String.equal out p))
 
+(* Node tables ------------------------------------------------------------- *)
+
+(* Every chunk's table is the tree over the leaves its own ciphertext
+   hashes to, whichever operation made the container. *)
+let check_tables what t =
+  let fs = Secure_container.fragment_size t in
+  for i = 0 to Secure_container.chunk_count t - 1 do
+    let cipher = Secure_container.chunk_ciphertext t i in
+    let leaves =
+      Array.init (Secure_container.fragments_per_chunk t) (fun f ->
+          Secure_container.fragment_leaf_hash_sub t ~chunk:i ~fragment:f
+            ~cipher ~pos:(f * fs) ~len:fs)
+    in
+    if Secure_container.chunk_tree t i <> Merkle.tree leaves then
+      Alcotest.failf "%s: chunk %d's table is not its ciphertext's tree" what i
+  done
+
+(* chunk [i] of [child] kept its ciphertext from [parent], so it must
+   share the parent's table, not a rebuilt copy *)
+let check_carried what ~parent ~child ~rewritten =
+  let kept = min (Secure_container.chunk_count parent) (Secure_container.chunk_count child) in
+  for i = 0 to kept - 1 do
+    if not (List.mem i rewritten) then
+      if Secure_container.chunk_tree child i
+         != Secure_container.chunk_tree parent i
+      then Alcotest.failf "%s: kept chunk %d rebuilt its table" what i
+  done
+
+let test_node_tables () =
+  let key = test_key () in
+  let p = payload 3000 in
+  let t =
+    Secure_container.encrypt ~chunk_size:512 ~fragment_size:64
+      ~scheme:Secure_container.Ecb_mht ~key p
+  in
+  check_tables "encrypt" t;
+  check_tables "of_bytes" (Secure_container.of_bytes (Secure_container.to_bytes t));
+  let edited =
+    String.mapi (fun i c -> if i = 1000 then Char.chr (Char.code c lxor 1) else c) p
+  in
+  List.iter
+    (fun (what, p') ->
+      let t', rewritten =
+        Secure_container.reencrypt t ~key ~old_payload:p ~payload:p'
+      in
+      check_tables ("reencrypt, " ^ what) t';
+      check_carried ("reencrypt, " ^ what) ~parent:t ~child:t' ~rewritten;
+      (* the mirror's side: graft the rewritten chunks onto the parent *)
+      let full =
+        List.map
+          (fun i ->
+            ( i,
+              Secure_container.chunk_version t' i,
+              Secure_container.chunk_ciphertext t' i,
+              Secure_container.encrypted_digest t' i ))
+          rewritten
+      in
+      let reseals =
+        List.init (Secure_container.chunk_count t') (fun i ->
+            (i, Secure_container.encrypted_digest t' i))
+        |> List.filter (fun (i, _) -> not (List.mem i rewritten))
+      in
+      match
+        Secure_container.patch t
+          ~payload_length:(Secure_container.payload_length t')
+          ~generation:(Secure_container.generation t')
+          ~key_epoch:(Secure_container.key_epoch t') ~full ~reseals
+      with
+      | Error e -> Alcotest.failf "patch, %s: %s" what e
+      | Ok patched ->
+          check_tables ("patch, " ^ what) patched;
+          check_carried ("patch, " ^ what) ~parent:t ~child:patched ~rewritten;
+          check string_t ("patch, " ^ what ^ ": bytes") (Secure_container.to_bytes t')
+            (Secure_container.to_bytes patched))
+    [
+      ("same length", edited);
+      ("grown", edited ^ String.make 700 'x');
+      ("shrunk", String.sub edited 0 1700);
+    ];
+  let tampered = Secure_container.substitute_block t ~chunk:2 ~block:5 "XXXXXXXX" in
+  check_tables "substitute_block" tampered;
+  check_tables "substitute_block's parent" t
+
 let () =
   Alcotest.run "crypto"
     [
@@ -1037,12 +1136,15 @@ let () =
           merkle_group_honest;
           merkle_group_leaf_tamper;
           merkle_group_single_leaf;
+          merkle_tree_lookup;
         ] );
       ( "container",
         scheme_suites
         @ [
             Alcotest.test_case "cross-chunk substitution detected" `Quick
               test_block_substitution_across_chunks_detected;
+            Alcotest.test_case "node tables match their ciphertext" `Quick
+              test_node_tables;
             Alcotest.test_case "plain ECB gives no integrity" `Quick
               test_ecb_scheme_has_no_integrity;
             Alcotest.test_case "header validation" `Quick test_container_header_checks;

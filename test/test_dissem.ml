@@ -548,6 +548,62 @@ let test_synced_replica_view () =
         (Xmlac_xml.Writer.events_to_string replica.Session.events);
       Wire.Mirror.close m)
 
+(* The terminal end: after a delta republish, a loopback session reads
+   the publisher's current view. The server's container carries the node
+   tables of the chunks the delta kept and must drop those it rewrote: a
+   stale table serves siblings of the old ciphertext, and the session
+   fails its Merkle check. *)
+let test_loopback_after_apply_delta () =
+  let scheme = Container.Ecb_mht in
+  let p = Publisher.create ~chunk_size:512 ~fragment_size:64 ~scheme
+      ~master:"s3cret" encoded in
+  let server = Wire.Server.create () in
+  Wire.Server.publish server ~id:"doc" (Publisher.container p);
+  let config =
+    {
+      (Session.default_config ~scheme ()) with
+      Session.chunk_size = 512;
+      fragment_size = 64;
+      key = Publisher.key p;
+    }
+  in
+  let view policy =
+    let published =
+      {
+        Session.layout = Layout.Tcsbr;
+        container = Publisher.container p;
+        encoded_bytes = String.length (Publisher.payload p);
+        source_text_bytes = Tree.text_bytes hospital;
+      }
+    in
+    Xmlac_xml.Writer.events_to_string
+      (Session.evaluate config published policy).Session.events
+  in
+  let remote_view policy =
+    let r = Xmlac_soe.Remote.connect (Wire.Server.loopback_connector server) in
+    Fun.protect
+      ~finally:(fun () -> Xmlac_soe.Remote.close r)
+      (fun () ->
+        Xmlac_xml.Writer.events_to_string
+          (Session.evaluate_remote config r policy).Session.events)
+  in
+  let policies =
+    [ ("secretary", Profiles.secretary); ("doctor", Profiles.doctor ~user:"dr00") ]
+  in
+  (* warm the server's shared cache on generation 0 *)
+  List.iter (fun (_, policy) -> ignore (remote_view policy : string)) policies;
+  let delta, rewritten = Publisher.update p ~payload:(update_once encoded) in
+  check bool_t "the update rewrites chunks" true (rewritten <> []);
+  (match Wire.Server.apply_delta server ~id:"doc" delta with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("apply_delta: " ^ e));
+  List.iter
+    (fun (name, policy) ->
+      check string_t
+        (name ^ ": loopback view = publisher's view")
+        (view policy) (remote_view policy))
+    policies
+
 let () =
   Alcotest.run "dissem"
     [
@@ -595,5 +651,7 @@ let () =
             test_mirror_refetch_on_fresh_lineage;
           Alcotest.test_case "synced replica view" `Quick
             test_synced_replica_view;
+          Alcotest.test_case "loopback view after apply_delta" `Quick
+            test_loopback_after_apply_delta;
         ] );
     ]

@@ -655,6 +655,36 @@ let test_identical_sessions_allocate_identically () =
         [ 2; 3 ])
     [ Container.Ecb_mht; Container.Cbc_shac ]
 
+(* A parsed container has no node tables: the first session's terminal
+   builds the tables of the chunks it serves siblings from, into the
+   container value, and later sessions on that value read them. *)
+let test_node_tables_outlive_a_session () =
+  let doc =
+    Xmlac_workload.Hospital.generate ~seed:5
+      ~config:{ Xmlac_workload.Hospital.default_config with folders = 40 }
+      ()
+  in
+  let policy = Xmlac_workload.Profiles.doctor ~user:"dr00" in
+  let config = Session.default_config ~scheme:Container.Ecb_mht () in
+  let published = Session.publish config ~layout:Layout.Tcsbr doc in
+  let parsed =
+    {
+      published with
+      Session.container =
+        Container.of_bytes (Container.to_bytes published.Session.container);
+    }
+  in
+  let minor_words () =
+    (Session.evaluate config parsed policy).Session.gc_minor_words
+  in
+  let first = minor_words () in
+  let second = minor_words () in
+  let third = minor_words () in
+  check bool_t
+    (Printf.sprintf "run 1 builds the tables (%.0f > %.0f words)" first second)
+    true (first > second);
+  check (Alcotest.float 0.) "run 3 allocates like run 2" second third
+
 (* Licenses ----------------------------------------------------------------- *)
 
 let soe_key = Xmlac_crypto.Des.Triple.key_of_string "the-device-soe-master-ke"
@@ -792,6 +822,8 @@ let () =
           prop_full_pipeline_equals_oracle;
           Alcotest.test_case "identical sessions allocate identically" `Quick
             test_identical_sessions_allocate_identically;
+          Alcotest.test_case "node tables outlive a session" `Quick
+            test_node_tables_outlive_a_session;
         ] );
       ( "lru",
         [
