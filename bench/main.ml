@@ -514,7 +514,6 @@ let ablation () =
           Evaluator.enable_skipping = false;
           enable_rest_skips = false;
           enable_desctag_filter = false;
-          enable_ara_memo = true;
         } );
       ( "skips, no DescTag filter",
         "skips_s",
@@ -522,7 +521,6 @@ let ablation () =
           Evaluator.enable_skipping = true;
           enable_rest_skips = false;
           enable_desctag_filter = false;
-          enable_ara_memo = true;
         } );
       ( "skips + DescTag filter",
         "skips_desctag_s",
@@ -530,7 +528,6 @@ let ablation () =
           Evaluator.enable_skipping = true;
           enable_rest_skips = false;
           enable_desctag_filter = true;
-          enable_ara_memo = true;
         } );
       ("full design (+tail skips)", "full_s", Evaluator.default_options);
     ]

@@ -183,7 +183,6 @@ let render_telemetry (v : Wire.Telemetry.view) =
           [
             int "hits" sr.sr_cache_hits;
             int "misses" sr.sr_cache_misses;
-            int "evicted" sr.sr_cache_evicted;
           ])
 
 let run inputs listen sessions timeout stats_flag domains telemetry_file

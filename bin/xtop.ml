@@ -48,11 +48,9 @@ let render_view (v : Telemetry.view) =
        sr.Telemetry.sr_mux_retired);
   Buffer.add_string b
     (Printf.sprintf
-       "requests %d  shared cache %d hits / %d misses / %d evicted  \
-        containers %d\n"
+       "requests %d  shared cache %d hits / %d misses  containers %d\n"
        sr.Telemetry.sr_requests sr.Telemetry.sr_cache_hits
-       sr.Telemetry.sr_cache_misses sr.Telemetry.sr_cache_evicted
-       sr.Telemetry.sr_containers);
+       sr.Telemetry.sr_cache_misses sr.Telemetry.sr_containers);
   Buffer.add_string b
     (Printf.sprintf
        "dissem %d republishes  %d syncs (%d up-to-date)  %d delta bytes \

@@ -45,8 +45,6 @@ let stats_metrics (s : stats) : Xmlac_obs.Metrics.t =
     [
       int "events_in" s.events_in;
       int "transitions" s.transitions;
-      int "ara_memo_hits" s.ara_memo_hits;
-      int "ara_memo_misses" s.ara_memo_misses;
       int "tokens_peak" s.tokens_peak;
       int "depth_peak" s.depth_peak;
       int "auth_pushes" s.auth_pushes;
@@ -65,7 +63,6 @@ type options = {
   enable_skipping : bool;
   enable_rest_skips : bool;
   enable_desctag_filter : bool;
-  enable_ara_memo : bool;
 }
 
 let default_options =
@@ -73,7 +70,6 @@ let default_options =
     enable_skipping = true;
     enable_rest_skips = true;
     enable_desctag_filter = true;
-    enable_ara_memo = true;
   }
 
 type observation =
@@ -141,13 +137,6 @@ type pred_token = {
 type level = {
   mutable nav : nav_token list;
   mutable pred : pred_token list;
-  mutable memo : (string, nav_token list * pred_token list) Hashtbl.t option;
-      (* per-tag sublists of [nav]/[pred] that can react to a child with
-         that tag (current step descends or matches the label), built
-         lazily on first use. Sound because a level's token lists never
-         grow once it has children, and the only later removals are
-         resolved predicate tokens, which the advance loop skips anyway —
-         so a stale sublist does exactly the work the full scan would. *)
 }
 
 type value_scope = {
@@ -586,7 +575,6 @@ let advance_nav_tokens st ~tokens ~lvl ~tag ~depth ~node_expr ~want =
 (* DescTag filtering (SkipSubtree, Figure 6): drop tokens whose remaining
    concrete labels cannot all be found below the current element. *)
 let filter_level_by_desctags lvl tags =
-  lvl.memo <- None (* token lists change shape: drop any per-tag sublists *);
   let module S = Set.Make (String) in
   let set = S.of_list tags in
   let empty = S.is_empty set in
@@ -656,54 +644,14 @@ let handle_open st tag attributes =
         st.path_rev <- n :: st.path_rev;
         st.sib_counts <- 0 :: (n + 1) :: rest);
   let top = match st.levels with t :: _ -> t | [] -> assert false in
-  let lvl = { nav = []; pred = []; memo = None } in
-  (* The transition memo: the sublists of the parent's tokens that can
-     react to [tag], computed once per (level, tag). Repeated sibling tags
-     — the common shape of data-centric documents — then skip the full
-     scan. Iteration order within the sublists is the parent order, so
-     token processing (and everything downstream) is unchanged. *)
-  let nav_tokens, pred_tokens =
-    if not st.options.enable_ara_memo then (top.nav, top.pred)
-    else begin
-      let tbl =
-        match top.memo with
-        | Some t -> t
-        | None ->
-            let t = Hashtbl.create 8 in
-            top.memo <- Some t;
-            t
-      in
-      match Hashtbl.find_opt tbl tag with
-      | Some r ->
-          st.stats.ara_memo_hits <- st.stats.ara_memo_hits + 1;
-          r
-      | None ->
-          st.stats.ara_memo_misses <- st.stats.ara_memo_misses + 1;
-          let nav =
-            List.filter
-              (fun nt ->
-                let s = nt.nt_ara.Ara.nsteps.(nt.nt_state) in
-                s.Ara.n_descend || label_matches s.Ara.n_label tag)
-              top.nav
-          in
-          let pred =
-            List.filter
-              (fun pt ->
-                let s = pt.pt_pred.Ara.psteps.(pt.pt_state) in
-                s.Ara.p_descend || label_matches s.Ara.p_label tag)
-              top.pred
-          in
-          Hashtbl.replace tbl tag (nav, pred);
-          (nav, pred)
-    end
-  in
+  let lvl = { nav = []; pred = [] } in
   (* pass A: rules *)
   let rule_completions =
-    advance_nav_tokens st ~tokens:nav_tokens ~lvl ~tag ~depth
+    advance_nav_tokens st ~tokens:top.nav ~lvl ~tag ~depth
       ~node_expr:(lazy Condition.tru)
       ~want:(fun a -> not (Ara.is_query a))
   in
-  advance_pred_tokens st ~tokens:pred_tokens ~lvl ~tag ~depth
+  advance_pred_tokens st ~tokens:top.pred ~lvl ~tag ~depth
     ~node_expr:(lazy Condition.tru)
     ~want:(fun a -> not (Ara.is_query a));
   let pos =
@@ -746,10 +694,10 @@ let handle_open st tag attributes =
     | None -> Condition.tru
     | Some _ ->
         let q_completions =
-          advance_nav_tokens st ~tokens:nav_tokens ~lvl ~tag ~depth
+          advance_nav_tokens st ~tokens:top.nav ~lvl ~tag ~depth
             ~node_expr:view_membership ~want:Ara.is_query
         in
-        advance_pred_tokens st ~tokens:pred_tokens ~lvl ~tag ~depth
+        advance_pred_tokens st ~tokens:top.pred ~lvl ~tag ~depth
           ~node_expr:view_membership ~want:Ara.is_query;
         let parent_interest =
           match st.interests with e :: _ -> e | [] -> Condition.fls
@@ -1003,7 +951,7 @@ let run ?query ?dummy_denied ?(options = default_options) ?on_deliver ?observer
       rule_aras;
       query_ara;
       stats = fresh_stats ();
-      levels = [ { nav = initial_tokens; pred = []; memo = None } ];
+      levels = [ { nav = initial_tokens; pred = [] } ];
       rule_exprs = [];
       interests = [];
       open_elems = [];

@@ -18,9 +18,10 @@ type stats = {
   mutable events_in : int;  (** input events consumed *)
   mutable transitions : int;  (** ARA transitions fired *)
   mutable ara_memo_hits : int;
-      (** open events whose reactive-token sublists came from the per-level
-          transition memo *)
-  mutable ara_memo_misses : int;  (** sublists computed by a full scan *)
+  mutable ara_memo_misses : int;
+      (** always 0: the evaluator has no transition memo. Both fields stay
+          only because the end-to-end benchmark reads them
+          ([soebench/main.ml]); {!stats_metrics} omits them. *)
   mutable tokens_peak : int;  (** max live tokens across all stack levels *)
   mutable depth_peak : int;  (** max element-stack depth reached *)
   mutable auth_pushes : int;  (** rule/query instances registered *)
@@ -40,16 +41,13 @@ type stats = {
 }
 
 val stats_metrics : stats -> Xmlac_obs.Metrics.t
-(** Snapshot as named metrics, in declaration order. *)
+(** Snapshot as named metrics, in declaration order, without the two
+    always-zero memo fields. *)
 
 type options = {
   enable_skipping : bool;  (** use the input's byte-skipping at open events *)
   enable_rest_skips : bool;  (** close-triggered tail skips *)
   enable_desctag_filter : bool;  (** DescTag token filtering (SkipSubtree) *)
-  enable_ara_memo : bool;
-      (** memoize, per stack level and tag, which tokens can react to a
-          child with that tag — a pure lookup-structure optimization;
-          delivered events and all other stats are identical either way *)
 }
 
 val default_options : options

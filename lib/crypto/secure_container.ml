@@ -154,13 +154,24 @@ let chunk_payload_digest t ~chunk ~data =
 let expected_digest_of_plain t ~chunk ~plain = chunk_payload_digest t ~chunk ~data:plain
 let expected_digest_of_cipher t ~chunk ~cipher = chunk_payload_digest t ~chunk ~data:cipher
 
-let fragment_leaf_hash_sub t ~chunk ~fragment ~cipher ~pos ~len =
-  ignore t;
+(* The one rule for what a fragment's leaf hash covers: be32 chunk ‖ be32
+   fragment, then ciphertext [pos, pos + len). A leaf hash finalizes the
+   whole fragment; a terminal's hash state exports a prefix of it. *)
+let leaf_prefix ~chunk ~fragment ~cipher ~pos ~len =
   let ctx = Sha1.init () in
   Sha1.feed ctx (be_bytes chunk 4);
   Sha1.feed ctx (be_bytes fragment 4);
   Sha1.feed_sub ctx cipher ~pos ~len;
-  Sha1.finalize ctx
+  ctx
+
+let fragment_leaf_hash_sub t ~chunk ~fragment ~cipher ~pos ~len =
+  ignore t;
+  Sha1.finalize (leaf_prefix ~chunk ~fragment ~cipher ~pos ~len)
+
+let hash_state t ~chunk ~fragment ~upto =
+  Sha1.export_state
+    (leaf_prefix ~chunk ~fragment ~cipher:t.chunks.(chunk)
+       ~pos:(fragment * t.fragment_size) ~len:upto)
 
 let seal_root t ~chunk ~root = chunk_payload_digest t ~chunk ~data:root
 
@@ -171,8 +182,8 @@ let mht_leaves t ~chunk ~cipher =
 
 (* The node table of chunk [i], built from its ciphertext on first use. A
    fill is one array write of a finished table; callers that share a
-   container across domains fill under a lock (the server's cache
-   mutex). *)
+   container across domains read and fill under a lock (the wire server's
+   tree lock). *)
 let chunk_tree t i =
   match t.trees.(i) with
   | [||] ->
@@ -180,6 +191,8 @@ let chunk_tree t i =
       t.trees.(i) <- tree;
       tree
   | tree -> tree
+
+let has_chunk_tree t i = Array.length t.trees.(i) > 0
 
 (* The padded plaintext of chunk [i] as a (buffer, offset) view: every
    chunk but a short last one reads the payload in place; only that one

@@ -188,9 +188,22 @@ val chunk_tree : t -> int -> string array
     the table of every chunk they replace. A parsed or grafted chunk's
     table is built here on first use and kept in the container value, so
     every terminal on that value, and the next generation's unchanged
-    chunks, share one hashing. A fill writes the container: it happens on
-    one domain at a time (the wire server fills under its cache mutex).
-    The table is shared and must not be mutated. *)
+    chunks, share one hashing. A fill writes the container: when one
+    container value is shared across domains, every read and fill of its
+    tables takes one lock (the wire server's tree lock). The table is
+    shared and must not be mutated. *)
+
+val has_chunk_tree : t -> int -> bool
+(** Whether the container already holds chunk [i]'s node table, so that
+    {!chunk_tree} is a lookup rather than a build. Read under the same
+    lock as {!chunk_tree} when the container is shared across domains. *)
+
+val hash_state : t -> chunk:int -> fragment:int -> upto:int -> string
+(** The serialized SHA-1 state ({!Sha1.export_state}) after the first
+    [upto] ciphertext bytes of a fragment's leaf hash — what a terminal
+    answers a hash-state request with. Feeding the rest of the fragment
+    and finalizing yields the fragment's leaf digest. Terminal-side: no
+    secrets involved. *)
 
 val substitute_block : t -> chunk:int -> block:int -> string -> t
 (** Tamper helper for tests: replace one 8-byte ciphertext block (the

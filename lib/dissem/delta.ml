@@ -210,20 +210,29 @@ let apply c t =
       (Printf.sprintf "delta bridges generation %d but container holds %d"
          t.from_gen (C.generation c))
   else if t.to_gen <= t.from_gen then Error "non-forward generation span"
-  else if t.key_epoch <> C.key_epoch c then begin
-    (* a key rotation re-encrypts the whole document: accepting a partial
-       epoch-crossing delta would splice ciphertext of two different keys
-       into one container *)
-    let n = chunk_count t in
-    let covered = Array.make n false in
-    List.iter
-      (fun (i, _, _, _) -> if i >= 0 && i < n then covered.(i) <- true)
-      t.full;
-    if Array.for_all Fun.id covered then
-      C.patch c ~payload_length:t.payload_len ~generation:t.to_gen
-        ~key_epoch:t.key_epoch ~full:t.full ~reseals:t.reseals
-    else Error "key-epoch change without full chunk coverage"
-  end
   else
-    C.patch c ~payload_length:t.payload_len ~generation:t.to_gen
-      ~key_epoch:t.key_epoch ~full:t.full ~reseals:t.reseals
+    match
+      List.find_opt (fun (_, v, _, _) -> v <= t.from_gen || v > t.to_gen) t.full
+    with
+    | Some (i, v, _, _) ->
+        (* a delta carries only chunks rewritten inside its span: an older
+           version would rewind the receiver's chunk *)
+        Error
+          (Printf.sprintf "chunk %d version %d outside the span (%d, %d]" i v
+             t.from_gen t.to_gen)
+    | None when t.key_epoch <> C.key_epoch c ->
+        (* a key rotation re-encrypts the whole document: accepting a
+           partial epoch-crossing delta would splice ciphertext of two
+           different keys into one container *)
+        let n = chunk_count t in
+        let covered = Array.make n false in
+        List.iter
+          (fun (i, _, _, _) -> if i >= 0 && i < n then covered.(i) <- true)
+          t.full;
+        if Array.for_all Fun.id covered then
+          C.patch c ~payload_length:t.payload_len ~generation:t.to_gen
+            ~key_epoch:t.key_epoch ~full:t.full ~reseals:t.reseals
+        else Error "key-epoch change without full chunk coverage"
+    | None ->
+        C.patch c ~payload_length:t.payload_len ~generation:t.to_gen
+          ~key_epoch:t.key_epoch ~full:t.full ~reseals:t.reseals

@@ -63,6 +63,8 @@ val decode : string -> (t, string) result
 
 val apply : C.t -> t -> (C.t, string) result
 (** Graft the delta onto a container at exactly [from_gen]: geometry must
-    match, the generation span must be forward, and a key-epoch change
-    must cover every chunk (a rotation rewrites everything). On success
-    the result is at [to_gen] / [key_epoch] and serializes as [XACR2]. *)
+    match, the generation span must be forward, every full entry's version
+    must lie in [(from_gen, to_gen\]] (a delta never rewinds a chunk), and
+    a key-epoch change must cover every chunk (a rotation rewrites
+    everything). On success the result is at [to_gen] / [key_epoch] and
+    serializes as [XACR2]. *)

@@ -85,9 +85,6 @@ let emit_chunk_verdict ~chunk ~ok detail =
 let digest_bytes = 20 (* SHA-1: Merkle leaves and sibling digests *)
 let hash_state_bytes = 29 + 63 (* serialized mid-stream SHA-1 state, worst case *)
 
-let be_bytes value width =
-  String.init width (fun i -> Char.chr ((value lsr (8 * (width - 1 - i))) land 0xFF))
-
 type slice = { s_data : string; s_off : int }
 
 (* Requests the channel can coalesce into one terminal round trip, and
@@ -136,12 +133,7 @@ let local_terminal container =
     fetch_digest = (fun ~chunk -> C.encrypted_digest container chunk);
     fetch_hash_state =
       (fun ~chunk ~fragment ~upto ->
-        let ctx = Sha1.init () in
-        Sha1.feed ctx (be_bytes chunk 4);
-        Sha1.feed ctx (be_bytes fragment 4);
-        Sha1.feed_sub ctx (C.chunk_ciphertext container chunk)
-          ~pos:(fragment * frag_size) ~len:upto;
-        Sha1.export_state ctx);
+        C.hash_state container ~chunk ~fragment ~upto);
     fetch_siblings =
       (fun ~chunk ~fragment ->
         (* by lookup in the container's node table, built once per chunk

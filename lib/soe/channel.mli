@@ -128,9 +128,10 @@ val local_terminal : Xmlac_crypto.Secure_container.t -> terminal
     its own: a table is built on the first request for its chunk, or was
     kept by [encrypt] or carried from the previous generation, and every
     terminal on the same container value reuses it — a terminal is an
-    ordinary computer and caches freely. Fills write the container, so a
-    container shared across domains needs its tables filled on one domain
-    at a time. [fetch_many] is [None] — there is no round trip to save. *)
+    ordinary computer and caches freely. Fills write the container, so
+    when one container value is shared across domains, its tables are
+    read and filled under one lock, as the wire server does. [fetch_many]
+    is [None] — there is no round trip to save. *)
 
 val frag_cache_capacity : int
 (** Fragments the SOE-side fragment cache holds: 8, about a 2 KB working

@@ -1,22 +1,16 @@
 (** Least-recently-used cache for the SOE's per-session working set.
 
-    This is the shared {!Xmlac_runtime.Lru} (the terminal registry's
-    shared node-table cache is the same structure). O(1)
-    find/insert/evict (Hashtbl + intrusive recency list). All caches of a
-    session share one {!stats} record, which feeds the [cache.*] counters
-    of [Session.metrics]; the counters depend only on the lookup sequence,
-    never on wall time, so they are gated like any other deterministic
-    counter. *)
+    O(1) find/insert/evict (Hashtbl + intrusive recency list). All caches
+    of a session share one {!stats} record, which feeds the [cache.*]
+    counters of [Session.metrics]; the counters depend only on the lookup
+    sequence, never on wall time, so they are gated like any other
+    deterministic counter. *)
 
-type stats = Xmlac_runtime.Lru.stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evicted : int;
-}
+type stats = { mutable hits : int; mutable misses : int; mutable evicted : int }
 
 val fresh_stats : unit -> stats
 
-type ('k, 'v) t = ('k, 'v) Xmlac_runtime.Lru.t
+type ('k, 'v) t
 
 val create : capacity:int -> stats:stats -> ('k, 'v) t
 (** @raise Invalid_argument if [capacity < 1]. *)

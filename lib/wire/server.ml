@@ -1,14 +1,10 @@
 module C = Xmlac_crypto.Secure_container
 module Merkle = Xmlac_crypto.Merkle
-module Sha1 = Xmlac_crypto.Sha1
-module Lru = Xmlac_runtime.Lru
 
-(* One published container. [gen] is unique per full publication, so
-   shared cache keys survive unpublish/republish of the same id without
-   ever serving stale data; a delta republish ([apply_delta]) keeps [gen]
-   — cache keys carry the per-chunk version instead, so untouched chunks
-   keep their cached node tables across the republish. [revoked] is the
-   cumulative revocation list the container's deltas carry. *)
+(* One published container. [gen] is unique per full publication and is
+   the tenant's publication number in telemetry; a delta republish
+   ([apply_delta]) keeps it. [revoked] is the cumulative revocation list
+   the container's deltas carry. *)
 type entry = {
   e_id : string;
   gen : int;
@@ -21,44 +17,22 @@ type t = {
   mutable entries : entry list;  (* publish order; head of order = default *)
   mutable gen_counter : int;
   registry_mutex : Mutex.t;
-  (* registry-level cache of per-chunk Merkle node tables, shared by
-     every session of every container — the terminal is an ordinary
-     computer and caches freely; bounded so a wide fleet of containers
-     cannot grow it without limit. Keyed by (publication generation,
-     chunk, chunk version), never by id: a full republish invalidates via
-     the fresh generation, a delta republish via the bumped versions of
-     exactly the rewritten chunks. A miss takes the table from
-     [C.chunk_tree], which builds it only when the container holds none
-     (a parsed container, or a chunk a delta grafted; [apply_delta]'s
-     patch carries the kept chunks' tables): that fill writes the shared
-     container, so it runs under [cache_mutex], one domain at a time. A
-     sibling request is then a lookup ([Merkle.siblings]), with no
-     combine. *)
-  tree_cache : (int * int * int, string array) Lru.t;
-  cache_stats : Lru.stats;
-  cache_mutex : Mutex.t;
-  (* encoded Sync answers, keyed (id, from_gen, to_gen): a fleet of
-     mirrors trailing by the same generation hits one computation *)
-  delta_cache : (string * int * int, string) Lru.t;
-  delta_mutex : Mutex.t;
+  (* guards every read and fill of the containers' Merkle node tables
+     ([C.chunk_tree]). A fill writes the container value, which every
+     session bound to it shares, and a delta republish carries the kept
+     chunks' tables into the next generation's container, so one lock
+     covers the whole server: a table filled on another acceptor domain
+     is only safely visible through it. *)
+  tree_mutex : Mutex.t;
   telemetry : Telemetry.t;
 }
 
-let cache_capacity = 1024
-let delta_cache_capacity = 8
-
 let create () =
-  let cache_stats = Lru.fresh_stats () in
   {
     entries = [];
     gen_counter = 0;
     registry_mutex = Mutex.create ();
-    tree_cache = Lru.create ~capacity:cache_capacity ~stats:cache_stats;
-    cache_stats;
-    cache_mutex = Mutex.create ();
-    delta_cache =
-      Lru.create ~capacity:delta_cache_capacity ~stats:(Lru.fresh_stats ());
-    delta_mutex = Mutex.create ();
+    tree_mutex = Mutex.create ();
     telemetry = Telemetry.create ();
   }
 
@@ -87,10 +61,9 @@ let publish ?(revoked = []) t ~id container =
     t.entries <- List.map (fun e' -> if e'.e_id = id then e else e') t.entries
   else t.entries <- t.entries @ [ e ]
 
-(* Delta republish: advance [id]'s container by one (or more) generations
-   without touching the clean chunks' identity — [gen] is kept, so their
-   shared node-table cache entries (keyed by chunk version) stay warm, and
-   the patched container carries their tables too.
+(* Delta republish: advance [id]'s container by one (or more) generations.
+   [gen] is kept, and the patched container carries the node tables of the
+   chunks the delta keeps (read under [tree_mutex], like any table).
    Sessions already bound keep serving their immutable snapshot; new
    hellos and [Sync]s see the new generation. *)
 let apply_delta t ~id delta =
@@ -98,7 +71,10 @@ let apply_delta t ~id delta =
   match List.find_opt (fun e -> e.e_id = id) t.entries with
   | None -> Error (Printf.sprintf "unknown container %S" id)
   | Some e -> (
-      match Xmlac_dissem.Delta.apply e.container delta with
+      match
+        with_lock t.tree_mutex (fun () ->
+            Xmlac_dissem.Delta.apply e.container delta)
+      with
       | Error _ as err -> err
       | Ok container ->
           let e' =
@@ -143,42 +119,20 @@ let metadata t =
 
 let metadata_of t id = Option.map (fun e -> e.meta) (find_entry t id)
 
-let cache_stats t =
-  with_lock t.cache_mutex @@ fun () ->
-  {
-    Lru.hits = t.cache_stats.Lru.hits;
-    misses = t.cache_stats.Lru.misses;
-    evicted = t.cache_stats.Lru.evicted;
-  }
-
-let telemetry t = t.telemetry
-
 let telemetry_snapshot t =
-  let cs = cache_stats t in
   let containers =
     with_lock t.registry_mutex @@ fun () -> List.length t.entries
   in
-  Telemetry.snapshot t.telemetry ~cache_hits:cs.Lru.hits
-    ~cache_misses:cs.Lru.misses ~cache_evicted:cs.Lru.evicted ~containers
+  Telemetry.snapshot t.telemetry ~containers
 
-let be_bytes value width =
-  String.init width (fun i ->
-      Char.chr ((value lsr (8 * (width - 1 - i))) land 0xFF))
-
-(* A chunk's node table through the shared registry cache, and whether
-   the cache already held it — the caller attributes the hit or miss to
-   its tenant (the registry-level [cache_stats] totals ride on the LRU
-   itself). *)
-let cached_tree t e chunk =
-  let key = (e.gen, chunk, C.chunk_version e.container chunk) in
-  let tree, hit =
-    with_lock t.cache_mutex @@ fun () ->
-    match Lru.find t.tree_cache key with
-    | Some tree -> (tree, true)
-    | None ->
-        let tree = C.chunk_tree e.container chunk in
-        Lru.insert t.tree_cache key tree;
-        (tree, false)
+(* A fragment's sibling digests, read out of its chunk's node table, and
+   whether the container already held the table (a hit) or this request
+   built it (a miss); the caller attributes either to its tenant. *)
+let siblings t e ~chunk ~fragment =
+  let siblings, hit =
+    with_lock t.tree_mutex @@ fun () ->
+    let hit = C.has_chunk_tree e.container chunk in
+    (Merkle.siblings (C.chunk_tree e.container chunk) ~fragment, hit)
   in
   (* linked to the enclosing server.request span via the ambient context;
      the fields are built only when a trace sink is on *)
@@ -189,27 +143,10 @@ let cached_tree t e chunk =
         ("chunk", Xmlac_obs.Json.Int chunk);
         ("hit", Xmlac_obs.Json.Bool hit);
       ];
-  (tree, hit)
+  (siblings, hit)
 
 let err code fmt =
   Printf.ksprintf (fun message -> Protocol.Err { code; message }) fmt
-
-(* The encoded answer to "I have [from_gen]" against [e]'s current
-   container, through the shared delta cache: a fleet of mirrors trailing
-   by the same span costs one delta computation. *)
-let delta_for t e ~from_gen =
-  let key = (e.e_id, from_gen, C.generation e.container) in
-  with_lock t.delta_mutex @@ fun () ->
-  match Lru.find t.delta_cache key with
-  | Some d -> d
-  | None ->
-      let d =
-        Xmlac_dissem.Delta.encode
-          (Xmlac_dissem.Delta.of_container ~from_gen ~revoked:e.revoked
-             e.container)
-      in
-      Lru.insert t.delta_cache key d;
-      d
 
 (* The hello reply: [container] ("" selects the session's [binding],
    falling back to the registry default) resolved to an entry, or a
@@ -243,7 +180,7 @@ let check_fragment e chunk fragment k =
       (C.fragments_per_chunk e.container)
   else k ()
 
-(* One request's share of the shared node-table cache, for its tenant. *)
+(* One request's node-table hits and misses, for its tenant. *)
 type tally = { mutable hits : int; mutable misses : int }
 
 (* One decoded data request -> one response, against one bound container.
@@ -289,28 +226,19 @@ let rec handle_request t e tally req =
           err Protocol.err_out_of_range "prefix length %d exceeds fragment size %d"
             upto
             (C.fragment_size e.container)
-        else begin
-          (* hash the prefix in place from the chunk ciphertext — no
-             fragment copy just to feed [upto] of its bytes *)
-          let cipher = C.chunk_ciphertext e.container chunk in
-          let ctx = Sha1.init () in
-          Sha1.feed ctx (be_bytes chunk 4);
-          Sha1.feed ctx (be_bytes fragment 4);
-          Sha1.feed_sub ctx cipher
-            ~pos:(fragment * C.fragment_size e.container)
-            ~len:upto;
-          Protocol.Hash_state (Sha1.export_state ctx)
-        end
+        else
+          Protocol.Hash_state
+            (C.hash_state e.container ~chunk ~fragment ~upto)
   | Get_siblings { chunk; fragment } ->
       if scheme <> C.Ecb_mht then
         err Protocol.err_unsupported "no Merkle tree under %s"
           (C.scheme_to_string scheme)
       else
         check_fragment e chunk fragment @@ fun () ->
-        let tree, hit = cached_tree t e chunk in
+        let siblings, hit = siblings t e ~chunk ~fragment in
         if hit then tally.hits <- tally.hits + 1
         else tally.misses <- tally.misses + 1;
-        Protocol.Siblings (Merkle.siblings tree ~fragment)
+        Protocol.Siblings siblings
   | Batch subs ->
       (* one reply per sub-request, in order; a failing sub becomes its
          own Err item instead of poisoning its batch-mates *)
@@ -346,7 +274,11 @@ let rec handle_request t e tally req =
         Protocol.Sync_uptodate
       end
       else begin
-        let d = delta_for t cur ~from_gen:have_gen in
+        let d =
+          Xmlac_dissem.Delta.encode
+            (Xmlac_dissem.Delta.of_container ~from_gen:have_gen
+               ~revoked:cur.revoked cur.container)
+        in
         Telemetry.sync_served t.telemetry ~uptodate:false
           ~bytes:(String.length d);
         Protocol.Sync_delta d
@@ -453,8 +385,8 @@ let make_conn ?(max_mux_sessions = max_mux_sessions_default) t ~local framing =
   }
 
 (* One data request end to end: handle under a server span, encode, and
-   attribute outcome / reply bytes / shared-cache use / service wall time
-   to the bound tenant. *)
+   attribute outcome / reply bytes / node-table hits and misses / service
+   wall time to the bound tenant. *)
 let serve_data c s ~sid ~client_span req =
   let t0 = Xmlac_obs.Span.now () in
   let tally = { hits = 0; misses = 0 } in

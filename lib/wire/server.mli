@@ -7,11 +7,15 @@
     Sessions address a container by id in their hello ([""] selects the
     default: the first-ever publication). A hello may also request session
     multiplexing, switching the connection to session-id framing so many
-    SOE sessions share one socket. Per-chunk Merkle node tables
-    ({!Xmlac_crypto.Secure_container.chunk_tree}) live in one bounded
-    registry-level LRU shared across every session of every container, so
-    a sibling request is a table lookup; hits and misses are attributed
-    per tenant in {!telemetry} — the terminal's only accounting.
+    SOE sessions share one socket. The server keeps no cache of its own:
+    a sibling request is a lookup in the container's per-chunk Merkle node
+    table ({!Xmlac_crypto.Secure_container.chunk_tree}), which every
+    session bound to that container value and the next generation's
+    unchanged chunks share, and a [Sync] is answered by encoding the delta
+    afresh. Every table read and fill takes one server-wide tree lock. A
+    request that finds its table present counts a cache hit for its
+    tenant, one that builds it a miss, in {!telemetry_snapshot} — the
+    terminal's only accounting.
 
     Request handling is {e total}: malformed frames and out-of-range or
     scheme-inappropriate requests produce [Err] replies (or end the
@@ -20,8 +24,7 @@
 type t
 
 val create : unit -> t
-(** An empty registry. Its shared node-table cache holds 1024 per-chunk
-    entries. *)
+(** An empty registry. *)
 
 val make : Xmlac_crypto.Secure_container.t -> t
 (** [create] plus [publish ~id:"default"] — the single-container shape
@@ -34,10 +37,10 @@ val publish :
   Xmlac_crypto.Secure_container.t ->
   unit
 (** Publish (or atomically replace) a container under [id]. Replacing
-    keeps the id's position in {!container_ids} and invalidates its shared
-    cache entries (keys carry a publication generation). [revoked] seeds
-    the cumulative revocation list served with this id's deltas (e.g. when
-    seeding a terminal with a post-rotation container).
+    keeps the id's position in {!container_ids} and gives it a fresh
+    publication number (the tenant's generation in telemetry). [revoked]
+    seeds the cumulative revocation list served with this id's deltas
+    (e.g. when seeding a terminal with a post-rotation container).
     @raise Invalid_argument on an empty or over-long id. *)
 
 val apply_delta :
@@ -48,11 +51,13 @@ val apply_delta :
 (** Advance [id]'s container by a chunk delta (the registry republish
     path): validates and grafts via {!Xmlac_dissem.Delta.apply}, replaces
     the entry in place, and adopts the delta's revocation list. Unlike
-    {!publish}, untouched chunks keep their shared node-table cache
-    entries (cache keys carry per-chunk versions) and their tables in the
-    advanced container, and subsequent [Sync]s are
-    answered from the new generation — sessions already bound keep
-    serving their immutable snapshot. Returns the advanced container. *)
+    {!publish}, it keeps the publication number, and the advanced
+    container carries the node tables of the chunks the delta leaves
+    untouched (a rewritten chunk's table is built on its first sibling
+    request). Subsequent [Sync]s are answered from the new generation —
+    sessions already bound keep serving their immutable snapshot. A delta
+    that {!Xmlac_dissem.Delta.apply} refuses leaves the entry as it was.
+    Returns the advanced container. *)
 
 val unpublish : t -> id:string -> bool
 (** Remove [id] from the registry; [false] when it was not published.
@@ -68,17 +73,9 @@ val metadata : t -> Protocol.metadata
 
 val metadata_of : t -> string -> Protocol.metadata option
 
-val cache_stats : t -> Xmlac_runtime.Lru.stats
-(** Snapshot of the registry-level shared node-table cache counters. *)
-
-val telemetry : t -> Telemetry.t
-(** The registry's telemetry: per-tenant counters and service-time
-    histograms, fed by the serving loops. *)
-
 val telemetry_snapshot : t -> Telemetry.view
-(** Consistent telemetry snapshot including the shared-cache counters and
-    published-container count — exactly what a [Get_stats] frame
-    returns. *)
+(** Consistent telemetry snapshot, with the published-container count —
+    exactly what a [Get_stats] frame returns. *)
 
 val handle_frame : t -> string -> string * bool
 (** Serve one raw frame payload (hostile bytes allowed) on a fresh
@@ -96,7 +93,7 @@ val serve_connection : ?max_mux_sessions:int -> t -> Transport.t -> unit
     busy rejection. A hello carrying a trace id is granted trace linkage:
     the server emits [server.request] spans tied to that trace, and (under
     mux) the connection switches to traced framing whose per-frame span
-    ids become the spans' parents. Feeds {!telemetry}. *)
+    ids become the spans' parents. Feeds the server's telemetry. *)
 
 val loopback_connector : t -> unit -> Transport.t
 (** A fresh in-process connection per call: requests are served

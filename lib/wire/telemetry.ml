@@ -226,7 +226,6 @@ type server_view = {
   sr_delta_bytes : int;
   sr_cache_hits : int;
   sr_cache_misses : int;
-  sr_cache_evicted : int;
   sr_containers : int;
 }
 
@@ -242,7 +241,7 @@ let summary_of_hist h =
     sv_max_s = H.max_value h;
   }
 
-let snapshot t ~cache_hits ~cache_misses ~cache_evicted ~containers =
+let snapshot t ~containers =
   locked t (fun () ->
       let tenants =
         Hashtbl.fold
@@ -262,6 +261,7 @@ let snapshot t ~cache_hits ~cache_misses ~cache_evicted ~containers =
           t.tenants []
         |> List.sort (fun a b -> compare a.tv_id b.tv_id)
       in
+      let sum f = List.fold_left (fun acc tv -> acc + f tv) 0 tenants in
       {
         server =
           {
@@ -275,9 +275,8 @@ let snapshot t ~cache_hits ~cache_misses ~cache_evicted ~containers =
             sr_syncs = t.syncs;
             sr_sync_uptodate = t.sync_uptodate;
             sr_delta_bytes = t.delta_bytes;
-            sr_cache_hits = cache_hits;
-            sr_cache_misses = cache_misses;
-            sr_cache_evicted = cache_evicted;
+            sr_cache_hits = sum (fun tv -> tv.tv_cache_hits);
+            sr_cache_misses = sum (fun tv -> tv.tv_cache_misses);
             sr_containers = containers;
           };
         tenants;
@@ -329,7 +328,6 @@ let to_json v =
             ("delta_bytes", Json.Int v.server.sr_delta_bytes);
             ("cache_hits", Json.Int v.server.sr_cache_hits);
             ("cache_misses", Json.Int v.server.sr_cache_misses);
-            ("cache_evicted", Json.Int v.server.sr_cache_evicted);
             ("containers", Json.Int v.server.sr_containers);
           ] );
       ("tenants", Json.List (List.map tenant_to_json v.tenants));
@@ -431,7 +429,6 @@ let of_json j =
     let* sr_delta_bytes = int_field_opt "delta_bytes" server_j in
     let* sr_cache_hits = int_field_nn "cache_hits" server_j in
     let* sr_cache_misses = int_field_nn "cache_misses" server_j in
-    let* sr_cache_evicted = int_field_nn "cache_evicted" server_j in
     let* sr_containers = int_field_nn "containers" server_j in
     let* tenants_j =
       match Option.bind (Json.member "tenants" j) Json.to_list_opt with
@@ -455,7 +452,6 @@ let of_json j =
             sr_delta_bytes;
             sr_cache_hits;
             sr_cache_misses;
-            sr_cache_evicted;
             sr_containers;
           };
         tenants;

@@ -2,7 +2,8 @@
 
     A terminal keeps one registry per server: global admission/mux
     counters plus, per tenant (container id), session and request counts,
-    shared-cache attribution, reply bytes, and a service-time histogram.
+    node-table hits and misses, reply bytes, and a service-time
+    histogram.
     Connection threads never lock the registry per request — each
     connection observes into a private {!acc} and merges it in under the
     registry mutex every few dozen requests and at connection end, so the
@@ -59,9 +60,10 @@ val record :
   cache_misses:int ->
   service_s:float ->
   unit
-(** One served request for [tenant]: outcome, reply size, shared-cache
-    delta and service wall time. Flushes to the registry automatically
-    every {!flush_every} records. *)
+(** One served request for [tenant]: outcome, reply size, service wall
+    time, and its node-table lookups — a hit when the container already
+    held the table, a miss when the terminal had to build it. Flushes to
+    the registry automatically every {!flush_every} records. *)
 
 val flush : acc -> unit
 (** Merge everything pending into the registry — call at connection end
@@ -108,22 +110,16 @@ type server_view = {
           documents, where they decode as 0. *)
   sr_cache_hits : int;
   sr_cache_misses : int;
-  sr_cache_evicted : int;
+      (** the tenants' [tv_cache_hits] and [tv_cache_misses] summed *)
   sr_containers : int;
 }
 
 type view = { server : server_view; tenants : tenant_view list }
 
-val snapshot :
-  t ->
-  cache_hits:int ->
-  cache_misses:int ->
-  cache_evicted:int ->
-  containers:int ->
-  view
+val snapshot : t -> containers:int -> view
 (** Consistent copy under the registry mutex; tenants sorted by id. The
-    registry does not own the shared leaves cache, so its counters (and
-    the published-container count) are passed in by the server. *)
+    server-wide cache hits and misses are the tenants' sums; the
+    published-container count is passed in by the server. *)
 
 (** {2 JSON codec} *)
 

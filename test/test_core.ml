@@ -294,45 +294,6 @@ let prop_stream_equals_oracle_tcs =
          Input.of_decoder
            (Skip.Decoder.of_string (Skip.Encoder.encode ~layout:Skip.Layout.Tcs tree))))
 
-(* The per-level ARA transition memo is a pure lookup-structure
-   optimization: deliveries and every stat except its own hit/miss
-   counters must be identical with it on and off, on skipping input. *)
-let prop_ara_memo_equivalence =
-  qtest ~count:50 "ARA memo ≡ unmemoized (events and stats)" gen_case
-    ~print:print_case (fun (tree, rules) ->
-      let policy = policy_of rules in
-      let run memo =
-        Evaluator.run ~policy
-          ~options:{ Evaluator.default_options with enable_ara_memo = memo }
-          (Input.of_decoder
-             (Skip.Decoder.of_string
-                (Skip.Encoder.encode ~layout:Skip.Layout.Tcsbr tree)))
-      in
-      let a = run true and b = run false in
-      let strip (s : Evaluator.stats) =
-        { s with Evaluator.ara_memo_hits = 0; ara_memo_misses = 0 }
-      in
-      a.Evaluator.events = b.Evaluator.events
-      && strip a.Evaluator.stats = strip b.Evaluator.stats
-      && b.Evaluator.stats.Evaluator.ara_memo_hits = 0
-      && b.Evaluator.stats.Evaluator.ara_memo_misses = 0)
-
-let test_ara_memo_hits_on_repetition () =
-  (* many same-tag siblings: after the first <rec>, every further open at
-     that level must reuse the memoized token sublists *)
-  let doc =
-    Tree.parse
-      ("<r>"
-      ^ String.concat ""
-          (List.init 20 (fun i ->
-               Printf.sprintf "<rec><name>n%d</name><val>%d</val></rec>" i i))
-      ^ "</r>")
-  in
-  let policy = policy_of [ (true, xp "//rec/name") ] in
-  let r = Evaluator.run ~policy (Input.of_events (Tree.to_events doc)) in
-  check bool_t "memo hits on repeated siblings" true
-    (r.Evaluator.stats.Evaluator.ara_memo_hits > 0)
-
 let gen_query_case =
   QCheck2.Gen.(triple Testkit.gen_tree Testkit.gen_rules (Testkit.gen_path ()))
 
@@ -688,11 +649,10 @@ let prop_eager_callback_equals_result =
 
 let ablation_configs =
   [
-    { Evaluator.enable_skipping = false; enable_rest_skips = false; enable_desctag_filter = false; enable_ara_memo = true };
-    { Evaluator.enable_skipping = true; enable_rest_skips = false; enable_desctag_filter = false; enable_ara_memo = true };
-    { Evaluator.enable_skipping = true; enable_rest_skips = true; enable_desctag_filter = false; enable_ara_memo = true };
-    { Evaluator.enable_skipping = true; enable_rest_skips = false; enable_desctag_filter = true; enable_ara_memo = true };
-    { Evaluator.default_options with enable_ara_memo = false };
+    { Evaluator.enable_skipping = false; enable_rest_skips = false; enable_desctag_filter = false };
+    { Evaluator.enable_skipping = true; enable_rest_skips = false; enable_desctag_filter = false };
+    { Evaluator.enable_skipping = true; enable_rest_skips = true; enable_desctag_filter = false };
+    { Evaluator.enable_skipping = true; enable_rest_skips = false; enable_desctag_filter = true };
     Evaluator.default_options;
   ]
 
@@ -727,7 +687,6 @@ let test_options_disable_skipping () =
           Evaluator.enable_skipping = false;
           enable_rest_skips = false;
           enable_desctag_filter = false;
-          enable_ara_memo = true;
         }
       ~policy
       (Input.of_decoder (Skip.Decoder.of_string encoded))
@@ -883,9 +842,6 @@ let () =
           prop_stream_equals_oracle;
           prop_stream_equals_oracle_tcsbr;
           prop_stream_equals_oracle_tcs;
-          prop_ara_memo_equivalence;
-          Alcotest.test_case "ARA memo hits on repetition" `Quick
-            test_ara_memo_hits_on_repetition;
           prop_query_equals_oracle;
           prop_query_equals_oracle_tcsbr;
           prop_dummy_equivalence;

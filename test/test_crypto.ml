@@ -1061,6 +1061,34 @@ let test_node_tables () =
   check_tables "substitute_block" tampered;
   check_tables "substitute_block's parent" t
 
+(* A terminal's hash state is a prefix of a fragment's leaf hash: importing
+   it and feeding the rest of the fragment gives that leaf's digest in the
+   chunk's node table, for every fragment and every 8-aligned prefix. *)
+let prop_hash_state_completes_leaf =
+  qtest ~count:50 "hash state + rest of fragment = leaf digest"
+    QCheck2.Gen.(pair (int_range 1 1500) (oneofl [ (256, 32); (512, 64) ]))
+    (fun (n, (chunk_size, fragment_size)) ->
+      let t =
+        Secure_container.encrypt ~chunk_size ~fragment_size
+          ~scheme:Secure_container.Ecb_mht ~key:(test_key ()) (payload n)
+      in
+      let m = Secure_container.fragments_per_chunk t in
+      let for_all n f = List.for_all f (List.init n Fun.id) in
+      for_all (Secure_container.chunk_count t) (fun chunk ->
+          let cipher = Secure_container.chunk_ciphertext t chunk in
+          let tree = Secure_container.chunk_tree t chunk in
+          for_all m (fun fragment ->
+              for_all ((fragment_size / 8) + 1) (fun k ->
+                  let upto = 8 * k in
+                  let ctx =
+                    Sha1.import_state
+                      (Secure_container.hash_state t ~chunk ~fragment ~upto)
+                  in
+                  Sha1.feed_sub ctx cipher
+                    ~pos:((fragment * fragment_size) + upto)
+                    ~len:(fragment_size - upto);
+                  String.equal (Sha1.finalize ctx) tree.(m + fragment)))))
+
 let () =
   Alcotest.run "crypto"
     [
@@ -1145,6 +1173,7 @@ let () =
               test_block_substitution_across_chunks_detected;
             Alcotest.test_case "node tables match their ciphertext" `Quick
               test_node_tables;
+            prop_hash_state_completes_leaf;
             Alcotest.test_case "plain ECB gives no integrity" `Quick
               test_ecb_scheme_has_no_integrity;
             Alcotest.test_case "header validation" `Quick test_container_header_checks;

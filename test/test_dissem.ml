@@ -548,12 +548,10 @@ let test_synced_replica_view () =
         (Xmlac_xml.Writer.events_to_string replica.Session.events);
       Wire.Mirror.close m)
 
-(* The terminal end: after a delta republish, a loopback session reads
-   the publisher's current view. The server's container carries the node
-   tables of the chunks the delta kept and must drop those it rewrote: a
-   stale table serves siblings of the old ciphertext, and the session
-   fails its Merkle check. *)
-let test_loopback_after_apply_delta () =
+(* A terminal serving a fresh ECB-MHT publisher's container over the
+   loopback, with the publisher's current view and the terminal's view
+   under one policy. *)
+let publisher_terminal () =
   let scheme = Container.Ecb_mht in
   let p = Publisher.create ~chunk_size:512 ~fragment_size:64 ~scheme
       ~master:"s3cret" encoded in
@@ -587,13 +585,21 @@ let test_loopback_after_apply_delta () =
         Xmlac_xml.Writer.events_to_string
           (Session.evaluate_remote config r policy).Session.events)
   in
-  let policies =
-    [ ("secretary", Profiles.secretary); ("doctor", Profiles.doctor ~user:"dr00") ]
-  in
-  (* warm the server's shared cache on generation 0 *)
-  List.iter (fun (_, policy) -> ignore (remote_view policy : string)) policies;
-  let delta, rewritten = Publisher.update p ~payload:(update_once encoded) in
-  check bool_t "the update rewrites chunks" true (rewritten <> []);
+  (p, server, view, remote_view)
+
+let terminal_policies =
+  [ ("secretary", Profiles.secretary); ("doctor", Profiles.doctor ~user:"dr00") ]
+
+(* one loopback session per policy: the terminal builds or finds the node
+   tables they read *)
+let warm remote_view =
+  List.iter
+    (fun (_, policy) -> ignore (remote_view policy : string))
+    terminal_policies
+
+(* apply [delta] on the terminal; every policy then reads the publisher's
+   view over the loopback *)
+let apply_and_read server view remote_view delta =
   (match Wire.Server.apply_delta server ~id:"doc" delta with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("apply_delta: " ^ e));
@@ -602,7 +608,48 @@ let test_loopback_after_apply_delta () =
       check string_t
         (name ^ ": loopback view = publisher's view")
         (view policy) (remote_view policy))
-    policies
+    terminal_policies
+
+(* The terminal end: after a delta republish, a loopback session reads
+   the publisher's current view. The server's container carries the node
+   tables of the chunks the delta kept and must drop those it rewrote: a
+   stale table serves siblings of the old ciphertext, and the session
+   fails its Merkle check. *)
+let test_loopback_after_apply_delta () =
+  let p, server, view, remote_view = publisher_terminal () in
+  warm remote_view;
+  let delta, rewritten = Publisher.update p ~payload:(update_once encoded) in
+  check bool_t "the update rewrites chunks" true (rewritten <> []);
+  apply_and_read server view remote_view delta
+
+(* A delta may not rewind a chunk: an update delta whose full entries
+   claim version 0 is refused by [Delta.apply] and by a warmed terminal,
+   which keeps serving generation 0; the honest delta then applies. *)
+let test_rewinding_delta_refused () =
+  let p, server, view, remote_view = publisher_terminal () in
+  let c0 = Publisher.container p in
+  let views0 = List.map (fun (_, policy) -> view policy) terminal_policies in
+  warm remote_view;
+  let delta, _ = Publisher.update p ~payload:(update_once encoded) in
+  let rewound =
+    {
+      delta with
+      Delta.full = List.map (fun (i, _, c, d) -> (i, 0, c, d)) delta.Delta.full;
+    }
+  in
+  (match Delta.apply c0 rewound with
+  | Ok _ -> Alcotest.fail "Delta.apply accepted a rewinding delta"
+  | Error _ -> ());
+  (match Wire.Server.apply_delta server ~id:"doc" rewound with
+  | Ok _ -> Alcotest.fail "the terminal accepted a rewinding delta"
+  | Error _ -> ());
+  check int_t "the terminal still serves generation 0" 0
+    (Option.get (Wire.Server.metadata_of server "doc")).Wire.Protocol.generation;
+  List.iter2
+    (fun (name, policy) view0 ->
+      check string_t (name ^ ": generation 0 view") view0 (remote_view policy))
+    terminal_policies views0;
+  apply_and_read server view remote_view delta
 
 let () =
   Alcotest.run "dissem"
@@ -653,5 +700,7 @@ let () =
             test_synced_replica_view;
           Alcotest.test_case "loopback view after apply_delta" `Quick
             test_loopback_after_apply_delta;
+          Alcotest.test_case "rewinding delta refused" `Quick
+            test_rewinding_delta_refused;
         ] );
     ]

@@ -149,7 +149,6 @@ let test_ablation_desctag_filter_is_the_enabler () =
           Xmlac_core.Evaluator.enable_skipping = true;
           enable_rest_skips = true;
           enable_desctag_filter = false;
-          enable_ara_memo = true;
         }
       published policy
   in

@@ -140,7 +140,34 @@ let test_snapshot_roundtrip () =
       check string_t "canonical round trip" (Telemetry.to_string v)
         (Telemetry.to_string v');
       check int_t "tenant rows preserved" (List.length v.Telemetry.tenants)
-        (List.length v'.Telemetry.tenants)
+        (List.length v'.Telemetry.tenants);
+      let sum f = List.fold_left (fun acc tv -> acc + f tv) 0 v.tenants in
+      check
+        Alcotest.(pair int int)
+        "server hits and misses are the tenants' sums"
+        ( sum (fun tv -> tv.Telemetry.tv_cache_hits),
+          sum (fun tv -> tv.Telemetry.tv_cache_misses) )
+        ( v.Telemetry.server.Telemetry.sr_cache_hits,
+          v.Telemetry.server.Telemetry.sr_cache_misses );
+      (* a snapshot of a build that still counted evictions decodes: the
+         decoder ignores fields it does not know *)
+      let with_evicted =
+        match Telemetry.to_json v with
+        | Json.Obj fields ->
+            Json.Obj
+              (List.map
+                 (function
+                   | "server", Json.Obj sf ->
+                       ("server", Json.Obj (sf @ [ ("cache_evicted", Json.Int 3) ]))
+                   | f -> f)
+                 fields)
+        | j -> j
+      in
+      match Telemetry.of_json with_evicted with
+      | Ok v'' ->
+          check string_t "older snapshot decodes" (Telemetry.to_string v)
+            (Telemetry.to_string v'')
+      | Error e -> Alcotest.failf "older snapshot rejected: %s" e
 
 let test_hostile_snapshot_rejected () =
   let reject label doc =

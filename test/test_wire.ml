@@ -828,16 +828,11 @@ let test_unix_socket () =
 let test_tcp_socket () =
   socket_equivalence (Wire.Transport.Tcp ("127.0.0.1", 0)) ()
 
-(* Two acceptor domains race over one listener: concurrent sessions are each
-   served byte-identical to the local view, and once stopped, [serve]
-   returns with every domain joined and no session left active. *)
-let test_two_acceptor_domains () =
-  let cfg = cfg Container.Ecb_mht in
-  let published = Session.publish cfg ~layout:Layout.Tcsbr hospital in
-  let expected =
-    events_string (Session.evaluate cfg published Profiles.secretary)
-  in
-  let server = Wire.Server.make published.Session.container in
+(* [n] concurrent ECB-MHT Secretary sessions, each on its own TCP
+   connection, against [server] run with two acceptor domains racing over
+   one listener. Returns each session's view once [serve] has returned
+   with every domain joined. *)
+let race_two_domains server n =
   let listener = Wire.Transport.listen (Wire.Transport.Tcp ("127.0.0.1", 0)) in
   let stop = ref false in
   let served = ref None in
@@ -852,13 +847,14 @@ let test_two_acceptor_domains () =
       ()
   in
   let bound = Wire.Transport.bound_addr listener in
-  let n = 6 in
   let results = Array.make n "" in
   let failures = Array.make n None in
   let worker i =
     try
       let r = Remote.connect (fun () -> Wire.Transport.connect bound) in
-      let m = Session.evaluate_remote cfg r Profiles.secretary in
+      let m =
+        Session.evaluate_remote (cfg Container.Ecb_mht) r Profiles.secretary
+      in
       Remote.close r;
       results.(i) <- events_string m
     with e -> failures.(i) <- Some e
@@ -877,11 +873,27 @@ let test_two_acceptor_domains () =
           Alcotest.failf "session %d failed: %s" i (Printexc.to_string e)
       | None -> ())
     failures;
+  results
+
+let local_secretary_view published =
+  events_string
+    (Session.evaluate (cfg Container.Ecb_mht) published Profiles.secretary)
+
+(* Two acceptor domains race over one listener: concurrent sessions are each
+   served byte-identical to the local view, and once stopped, [serve]
+   returns with every domain joined and no session left active. *)
+let test_two_acceptor_domains () =
+  let published =
+    Session.publish (cfg Container.Ecb_mht) ~layout:Layout.Tcsbr hospital
+  in
+  let expected = local_secretary_view published in
+  let server = Wire.Server.make published.Session.container in
+  let n = 6 in
   Array.iteri
     (fun i r ->
       if not (String.equal expected r) then
         Alcotest.failf "session %d diverges from the local view" i)
-    results;
+    (race_two_domains server n);
   let tel = (Wire.Server.telemetry_snapshot server).Wire.Telemetry.server in
   check bool_t "every session admitted" true
     (tel.Wire.Telemetry.sr_admitted >= n);
@@ -1065,26 +1077,69 @@ let test_registry () =
     (fetch ~config:{ Wire.Client.default_config with container = "records" }
     = Container.Cbc_sha)
 
-let test_registry_shared_cache () =
-  (* two sessions of the same container share decoded-leaf cache entries:
-     the second session's reads hit what the first session faulted in *)
-  let server = Wire.Server.create () in
-  let p = publish_scheme Container.Ecb_mht in
-  Wire.Server.publish server ~id:"doc" p.Session.container;
-  let run () =
-    let remote = Remote.connect (Wire.Server.loopback_connector server) in
-    let m = Session.evaluate_remote (cfg Container.Ecb_mht) remote Profiles.secretary in
-    Remote.close remote;
-    m
+(* An ECB-MHT publication, and its container read back from its bytes:
+   that one holds no node tables, so its first sessions build them. *)
+let parsed_ecb_mht () =
+  let published = publish_scheme Container.Ecb_mht in
+  ( published,
+    Container.of_bytes (Container.to_bytes published.Session.container) )
+
+(* the server's node-table hits and misses, as telemetry reports them *)
+let table_lookups server =
+  let sr = (Wire.Server.telemetry_snapshot server).Wire.Telemetry.server in
+  (sr.Wire.Telemetry.sr_cache_hits, sr.Wire.Telemetry.sr_cache_misses)
+
+let loopback_session server =
+  let remote = Remote.connect (Wire.Server.loopback_connector server) in
+  let (_ : Session.measurement) =
+    Session.evaluate_remote (cfg Container.Ecb_mht) remote Profiles.secretary
   in
-  let (_ : Session.measurement) = run () in
-  let first = Wire.Server.cache_stats server in
-  let (_ : Session.measurement) = run () in
-  let second = Wire.Server.cache_stats server in
-  check bool_t "second session hits the shared cache" true
-    (second.Xmlac_runtime.Lru.hits > first.Xmlac_runtime.Lru.hits);
-  check int_t "no new misses for an already-cached container"
-    first.Xmlac_runtime.Lru.misses second.Xmlac_runtime.Lru.misses
+  Remote.close remote
+
+(* The terminal keeps no cache of its own: a sibling request reads the
+   container's node table, and telemetry counts a hit when the table was
+   present and a miss when the request built it. *)
+let test_registry_shared_cache () =
+  let server = Wire.Server.create () in
+  Wire.Server.publish server ~id:"doc" (snd (parsed_ecb_mht ()));
+  loopback_session server;
+  let hits, misses = table_lookups server in
+  check bool_t "the first session builds tables" true (misses > 0);
+  (* every session asks the same siblings, and once its tables are built
+     each request finds them *)
+  for i = 1 to 2 do
+    loopback_session server;
+    check
+      Alcotest.(pair int int)
+      "a later session only hits"
+      (hits + (i * (hits + misses)), misses)
+      (table_lookups server)
+  done
+
+(* Eight sessions race over two acceptor domains for a container that
+   holds no tables. The present-or-build decision and the fill happen
+   under the server's tree lock, so each table is built exactly once
+   however the domains interleave. *)
+let test_concurrent_table_fills () =
+  let single = Wire.Server.create () in
+  Wire.Server.publish single ~id:"doc" (snd (parsed_ecb_mht ()));
+  loopback_session single;
+  let single_hits, single_misses = table_lookups single in
+  let published, parsed = parsed_ecb_mht () in
+  let expected = local_secretary_view published in
+  let server = Wire.Server.create () in
+  Wire.Server.publish server ~id:"doc" parsed;
+  let n = 8 in
+  Array.iteri
+    (fun i r ->
+      if not (String.equal expected r) then
+        Alcotest.failf "session %d diverges from the local view" i)
+    (race_two_domains server n);
+  let hits, misses = table_lookups server in
+  check int_t "each table built once" single_misses misses;
+  check int_t "every sibling request counted"
+    (n * (single_hits + single_misses))
+    (hits + misses)
 
 (* Admission control: typed Busy + wakeup on release ---------------------- *)
 
@@ -1588,6 +1643,8 @@ let () =
           Alcotest.test_case "tcp socket" `Quick test_tcp_socket;
           Alcotest.test_case "two acceptor domains" `Quick
             test_two_acceptor_domains;
+          Alcotest.test_case "racing sessions build each table once" `Quick
+            test_concurrent_table_fills;
           Alcotest.test_case "busy churn at the session cap" `Quick
             test_busy_churn;
         ] );
