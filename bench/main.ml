@@ -817,8 +817,9 @@ let fleet () =
           failwith "fleet: plain reference diverges from local evaluation";
         w.Wire.Stats.payload_bytes
       in
-      let hist = Xmlac_obs.Histogram.make "fleet.rtt" in
-      let hist_mutex = Mutex.create () in
+      (* each client's wall time, one slot per worker *)
+      let walls = Array.make clients 0. in
+      let payload_mutex = Mutex.create () in
       let payload_total = ref 0 in
       let payload_by_tenant : (string, int) Hashtbl.t = Hashtbl.create 4 in
       let failures = Array.make clients None in
@@ -845,7 +846,7 @@ let fleet () =
                 Remote.close r;
                 if m.Session.events <> local.Session.events then
                   failwith "fleet client: view diverges from local evaluation";
-                Mutex.lock hist_mutex;
+                Mutex.lock payload_mutex;
                 payload_total := !payload_total + w.Wire.Stats.payload_bytes;
                 (* every client of a tenant meters identical payload *)
                 (match Hashtbl.find_opt payload_by_tenant id with
@@ -855,11 +856,9 @@ let fleet () =
                 | Some p ->
                     if p <> w.Wire.Stats.payload_bytes then
                       failwith "fleet: payload bytes diverge within a tenant");
-                Mutex.unlock hist_mutex)
+                Mutex.unlock payload_mutex)
           in
-          Mutex.lock hist_mutex;
-          Xmlac_obs.Histogram.observe hist wall_s;
-          Mutex.unlock hist_mutex
+          walls.(i) <- wall_s
         with e -> failures.(i) <- Some e
       in
       let threads = List.init clients (fun i -> Thread.create worker i) in
@@ -882,13 +881,16 @@ let fleet () =
             (Printf.sprintf "fleet: mux payload %d <> plain payload %d" p
                plain_payload)
       | None -> failwith "fleet: no records client completed");
-      let p50 = Xmlac_obs.Histogram.quantile hist 0.5 in
-      let p99 = Xmlac_obs.Histogram.quantile hist 0.99 in
+      (* exact nearest-rank quantiles over every client's wall time *)
+      Array.sort compare walls;
+      let rank q = walls.(int_of_float (Float.ceil (q *. float clients)) - 1) in
+      let p50 = rank 0.5 and p99 = rank 0.99 in
       Printf.printf
         "  %d clients over %d mux connections, %d containers, 2 domains\n"
         clients endpoints (List.length tenants);
       Printf.printf "  per-client latency: p50 %.4fs  p99 %.4fs  mean %.4fs\n"
-        p50 p99 (Xmlac_obs.Histogram.mean hist);
+        p50 p99
+        (Array.fold_left ( +. ) 0. walls /. float clients);
       (* admin plane cross-check: the Stats frame a local client fetches
          must agree with the registry's own snapshot, tenant for tenant *)
       let wire_view =

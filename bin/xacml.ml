@@ -28,11 +28,11 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* every output file (documents, containers, licenses, deltas, replicas)
+   is replaced atomically, so an interrupted run, an in-place update
+   included, leaves the previous file intact *)
 let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+  Xmlac_obs.Atomic_file.write path (fun oc -> output_string oc contents)
 
 (* bad command-line input: a one-line usage error on stderr, exit code 2,
    no backtrace *)

@@ -121,18 +121,13 @@ let parse_input spec =
        String.sub spec (i + 1) (String.length spec - i - 1))
   | _ -> (Filename.remove_extension (Filename.basename spec), spec)
 
-(* Atomic snapshot export: write to a sibling tmp file, then rename, so a
-   poller (xtop) never reads a torn document. *)
+(* Atomic snapshot export, so a poller (xtop) never reads a torn
+   document. *)
 let export_telemetry server path =
   let json = Wire.Telemetry.to_string (Wire.Server.telemetry_snapshot server) in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Xmlac_obs.Atomic_file.write path (fun oc ->
       output_string oc json;
-      output_char oc '\n');
-  Sys.rename tmp path
+      output_char oc '\n')
 
 let read_revoked = function
   | None -> []

@@ -80,25 +80,15 @@ let quantile t q =
 
 let max_value t = t.max_value
 
-(* Merge [s] into [into]: count/sum/max exact, buckets elementwise. The
-   aggregation primitive for fleet telemetry — each session observes into
-   its own histogram lock-free, and an owner merges under its own lock at
-   flush points, so the hot path never contends. *)
+(* Merge [s] into [into]: count/sum/max exact, buckets elementwise, so the
+   result is indistinguishable from one histogram that observed both. The
+   wire mirror's [Stats.add] totals its sessions' round-trip histograms
+   with it. *)
 let merge ~into (s : t) =
   into.count <- into.count + s.count;
   into.sum <- into.sum +. s.sum;
   if s.max_value > into.max_value then into.max_value <- s.max_value;
   Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) s.buckets
-
-(* independent copy: quantiles of a snapshot are stable while the original
-   keeps observing on other threads *)
-let snapshot t = { t with buckets = Array.copy t.buckets }
-
-let reset t =
-  t.count <- 0;
-  t.sum <- 0.;
-  t.max_value <- 0.;
-  Array.fill t.buckets 0 bucket_count 0
 
 let metrics t =
   [

@@ -363,7 +363,6 @@ type framing =
 
 type conn = {
   srv : t;
-  tel : Telemetry.acc;
   local : bool;  (* the peer is provably local: the admin plane answers *)
   mutable framing : framing;
   plain : session;  (* the plain-framed session; mux sessions start from it *)
@@ -376,7 +375,6 @@ let max_mux_sessions_default = 256
 let make_conn ?(max_mux_sessions = max_mux_sessions_default) t ~local framing =
   {
     srv = t;
-    tel = Telemetry.acc t.telemetry;
     local;
     framing;
     plain = { bound = default_entry t; trace = ""; counted = false };
@@ -386,7 +384,8 @@ let make_conn ?(max_mux_sessions = max_mux_sessions_default) t ~local framing =
 
 (* One data request end to end: handle under a server span, encode, and
    attribute outcome / reply bytes / node-table hits and misses / service
-   wall time to the bound tenant. *)
+   wall time to the bound tenant — recorded before the caller writes the
+   reply, so any later snapshot covers it. *)
 let serve_data c s ~sid ~client_span req =
   let t0 = Xmlac_obs.Span.now () in
   let tally = { hits = 0; misses = 0 } in
@@ -407,9 +406,9 @@ let serve_data c s ~sid ~client_span req =
   | Some e ->
       if not s.counted then begin
         s.counted <- true;
-        Telemetry.session c.tel ~tenant:e.e_id ~generation:e.gen
+        Telemetry.session c.srv.telemetry ~tenant:e.e_id ~generation:e.gen
       end;
-      Telemetry.record c.tel ~tenant:e.e_id
+      Telemetry.record c.srv.telemetry ~tenant:e.e_id
         ~ok:(match resp with Protocol.Err _ -> false | _ -> true)
         ~reply_bytes:(String.length encoded) ~cache_hits:tally.hits
         ~cache_misses:tally.misses
@@ -418,15 +417,11 @@ let serve_data c s ~sid ~client_span req =
   encoded
 
 (* The admin-plane reply: a telemetry snapshot, only ever for a provably
-   local peer. The asking connection flushes its own accumulator first so
-   the snapshot covers its traffic too. *)
+   local peer. *)
 let stats_reply c =
   if not c.local then
     err Protocol.err_unsupported "stats are served only on local transports"
-  else begin
-    Telemetry.flush c.tel;
-    Protocol.Stats_reply (Telemetry.to_string (telemetry_snapshot c.srv))
-  end
+  else Protocol.Stats_reply (Telemetry.to_string (telemetry_snapshot c.srv))
 
 (* The one serving dispatch: a raw request payload of session [sid] (0 on
    plain framing) -> the encoded reply, and whether the connection should
@@ -541,7 +536,6 @@ let serve_connection ?max_mux_sessions t transport =
      connection *)
   (try loop () with _ -> ());
   Transport.close transport;
-  Telemetry.flush c.tel;
   Telemetry.connection_closed t.telemetry
 
 (* In-process terminal: requests are served synchronously inside the
@@ -597,7 +591,6 @@ let loopback_connector t () =
   let close () =
     if not !closed then begin
       closed := true;
-      Telemetry.flush c.tel;
       Telemetry.connection_closed t.telemetry
     end
   in
@@ -650,48 +643,38 @@ let serve ?(max_sessions = 64) ?(domains = 1) ?timeout_s ?stop t listener =
     if admitted then spawn active (serve_connection t) transport
     else spawn rejecting (reject_busy t ~max_sessions) transport
   in
-  let accept_blocking () =
-    (* poll so a flipped stop flag (or a closed listener) ends the loop
-       instead of blocking forever in accept *)
-    if Transport.wait_readable listener then
-      Some (Transport.accept ?timeout_s listener)
-    else None
+  (* one acceptor per domain, the caller's included, all racing over one
+     non-blocking listener; connection threads are spawned from whichever
+     domain wins. Each polls so a flipped stop flag (or a closed listener)
+     ends its loop instead of blocking forever in accept. Every domain is
+     joined before the first failure (the caller's, then in spawn order)
+     is re-raised. *)
+  Transport.set_nonblocking listener;
+  let rec accept_loop () =
+    if not (stopped ()) then
+      match
+        if Transport.wait_readable listener then
+          Transport.accept_opt ?timeout_s listener
+        else None
+      with
+      | Some transport ->
+          dispatch transport;
+          accept_loop ()
+      | None -> accept_loop ()
+      | exception Error.Wire _ ->
+          (* listener closed: fall through to drain *)
+          ()
   in
-  let accept_racing () =
-    if Transport.wait_readable listener then
-      Transport.accept_opt ?timeout_s listener
-    else None
+  let acceptor () =
+    match accept_loop () with () -> None | exception e -> Some e
   in
-  let accept_loop accept_one =
-    let rec loop () =
-      if not (stopped ()) then
-        match accept_one () with
-        | Some transport ->
-            dispatch transport;
-            loop ()
-        | None -> loop ()
-        | exception Error.Wire _ ->
-            (* listener closed: fall through to drain *)
-            ()
-    in
-    loop ()
+  let spawned =
+    List.init (max 0 (domains - 1)) (fun _ -> Domain.spawn acceptor)
   in
-  if domains <= 1 then accept_loop accept_blocking
-  else begin
-    (* one acceptor per domain, the caller's included, all racing over one
-       non-blocking listener; connection threads are spawned from whichever
-       domain wins. Every domain is joined before the first failure (the
-       caller's, then in spawn order) is re-raised. *)
-    Transport.set_nonblocking listener;
-    let acceptor () =
-      match accept_loop accept_racing with () -> None | exception e -> Some e
-    in
-    let spawned = List.init (domains - 1) (fun _ -> Domain.spawn acceptor) in
-    let own = acceptor () in
-    List.iter
-      (function Some e -> raise e | None -> ())
-      (own :: List.map Domain.join spawned)
-  end;
+  let own = acceptor () in
+  List.iter
+    (function Some e -> raise e | None -> ())
+    (own :: List.map Domain.join spawned);
   Mutex.lock m;
   while !active > 0 || !rejecting > 0 do
     Condition.wait cond m

@@ -75,7 +75,9 @@ val metadata_of : t -> string -> Protocol.metadata option
 
 val telemetry_snapshot : t -> Telemetry.view
 (** Consistent telemetry snapshot, with the published-container count —
-    exactly what a [Get_stats] frame returns. *)
+    exactly what a [Get_stats] frame returns. Every data request is
+    recorded before its reply is written, so the snapshot covers every
+    reply already sent, on connections still open too. *)
 
 val handle_frame : t -> string -> string * bool
 (** Serve one raw frame payload (hostile bytes allowed) on a fresh
@@ -117,9 +119,9 @@ val serve :
     (default 64) concurrent. Admission never blocks the acceptor: a
     connection past the cap gets its opening frame read, a typed
     [err_busy] reply (which clients map to the retryable {!Error.Busy}),
-    and a close. With [domains > 1], that many acceptor domains race over
-    one non-blocking listener and dispatch connection threads — one
-    accept path per core for fleet-scale churn. Polls the listener so it
-    can notice a flipped [stop] flag (or a closed listener) within
-    ~0.2 s; returns once stopped and all in-flight sessions (and
+    and a close. [domains] (default 1) acceptor domains, the caller's
+    included, race over one non-blocking listener and dispatch connection
+    threads — one accept path per core for fleet-scale churn. Polls the
+    listener so it can notice a flipped [stop] flag (or a closed listener)
+    within ~0.2 s; returns once stopped and all in-flight sessions (and
     rejections) have finished. *)

@@ -2,41 +2,37 @@
    service-time histogram per tenant.
 
    Locking discipline: the registry [t] is shared by every connection
-   thread, but connection threads never touch it per-request. Each
-   connection owns a private accumulator ([acc]) it observes into
-   lock-free, and merges into the registry under the mutex only every
-   [flush_every] requests and at connection end ({!Histogram.merge} makes
-   the histogram part of that merge cheap and exact). The hot path
-   therefore costs a few field bumps and one histogram observe. *)
+   thread, and every update — a data request's record included — happens
+   under its mutex, so a snapshot covers every reply already sent. The
+   lock is held for a few field bumps and one histogram observe. *)
 
 module H = Xmlac_obs.Histogram
 module Json = Xmlac_obs.Json
 
 let schema = "xwtp.telemetry.v1"
-let flush_every = 32
 
 (* {2 Registry} *)
 
 type tenant = {
-  tn_generation : int ref;
-  tn_sessions : int ref;
-  tn_requests : int ref;
-  tn_errors : int ref;
-  tn_cache_hits : int ref;
-  tn_cache_misses : int ref;
-  tn_reply_bytes : int ref;
+  mutable tn_generation : int;
+  mutable tn_sessions : int;
+  mutable tn_requests : int;
+  mutable tn_errors : int;
+  mutable tn_cache_hits : int;
+  mutable tn_cache_misses : int;
+  mutable tn_reply_bytes : int;
   tn_service : H.t;
 }
 
 let make_tenant () =
   {
-    tn_generation = ref 0;
-    tn_sessions = ref 0;
-    tn_requests = ref 0;
-    tn_errors = ref 0;
-    tn_cache_hits = ref 0;
-    tn_cache_misses = ref 0;
-    tn_reply_bytes = ref 0;
+    tn_generation = 0;
+    tn_sessions = 0;
+    tn_requests = 0;
+    tn_errors = 0;
+    tn_cache_hits = 0;
+    tn_cache_misses = 0;
+    tn_reply_bytes = 0;
     (* histogram names must start with "wall" (Gate drift exemption) *)
     tn_service = H.make "wall_service";
   }
@@ -48,9 +44,7 @@ type t = {
   mutable busy_rejections : int;
   mutable mux_opened : int;
   mutable mux_retired : int;
-  mutable requests : int;
-  (* dissemination plane (XWTP v1.3): registry-level because republishes
-     and syncs are rare compared to data requests — no accumulator hop *)
+  (* dissemination plane (XWTP v1.3) *)
   mutable republishes : int;
   mutable syncs : int;
   mutable sync_uptodate : int;
@@ -66,7 +60,6 @@ let create () =
     busy_rejections = 0;
     mux_opened = 0;
     mux_retired = 0;
-    requests = 0;
     republishes = 0;
     syncs = 0;
     sync_uptodate = 0;
@@ -103,92 +96,21 @@ let sync_served t ~uptodate ~bytes =
       if uptodate then t.sync_uptodate <- t.sync_uptodate + 1;
       t.delta_bytes <- t.delta_bytes + bytes)
 
-(* {2 Connection-local accumulator} *)
+let session t ~tenant ~generation =
+  locked t (fun () ->
+      let tn = tenant_locked t tenant in
+      tn.tn_sessions <- tn.tn_sessions + 1;
+      if generation > tn.tn_generation then tn.tn_generation <- generation)
 
-type local = {
-  mutable l_generation : int;
-  mutable l_sessions : int;
-  mutable l_requests : int;
-  mutable l_errors : int;
-  mutable l_cache_hits : int;
-  mutable l_cache_misses : int;
-  mutable l_reply_bytes : int;
-  l_service : H.t;
-}
-
-type acc = {
-  owner : t;
-  locals : (string, local) Hashtbl.t;  (* tenant id -> private counters *)
-  mutable pending : int;  (* requests recorded since the last flush *)
-}
-
-let acc owner = { owner; locals = Hashtbl.create 2; pending = 0 }
-
-let local_of a id =
-  match Hashtbl.find_opt a.locals id with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          l_generation = 0;
-          l_sessions = 0;
-          l_requests = 0;
-          l_errors = 0;
-          l_cache_hits = 0;
-          l_cache_misses = 0;
-          l_reply_bytes = 0;
-          l_service = H.make "wall_service";
-        }
-      in
-      Hashtbl.replace a.locals id l;
-      l
-
-let flush a =
-  if a.pending > 0 || Hashtbl.length a.locals > 0 then begin
-    let t = a.owner in
-    locked t (fun () ->
-        Hashtbl.iter
-          (fun id l ->
-            let tn = tenant_locked t id in
-            if l.l_generation > !(tn.tn_generation) then
-              tn.tn_generation := l.l_generation;
-            tn.tn_sessions := !(tn.tn_sessions) + l.l_sessions;
-            tn.tn_requests := !(tn.tn_requests) + l.l_requests;
-            tn.tn_errors := !(tn.tn_errors) + l.l_errors;
-            tn.tn_cache_hits := !(tn.tn_cache_hits) + l.l_cache_hits;
-            tn.tn_cache_misses := !(tn.tn_cache_misses) + l.l_cache_misses;
-            tn.tn_reply_bytes := !(tn.tn_reply_bytes) + l.l_reply_bytes;
-            t.requests <- t.requests + l.l_requests;
-            H.merge ~into:tn.tn_service l.l_service)
-          a.locals);
-    Hashtbl.iter
-      (fun _ l ->
-        l.l_sessions <- 0;
-        l.l_requests <- 0;
-        l.l_errors <- 0;
-        l.l_cache_hits <- 0;
-        l.l_cache_misses <- 0;
-        l.l_reply_bytes <- 0;
-        H.reset l.l_service)
-      a.locals;
-    a.pending <- 0
-  end
-
-let session a ~tenant ~generation =
-  let l = local_of a tenant in
-  l.l_sessions <- l.l_sessions + 1;
-  if generation > l.l_generation then l.l_generation <- generation
-
-let record a ~tenant ~ok ~reply_bytes ~cache_hits ~cache_misses ~service_s =
-  let l = local_of a tenant in
-  l.l_requests <- l.l_requests + 1;
-  if not ok then l.l_errors <- l.l_errors + 1;
-  l.l_cache_hits <- l.l_cache_hits + cache_hits;
-  l.l_cache_misses <- l.l_cache_misses + cache_misses;
-  l.l_reply_bytes <- l.l_reply_bytes + reply_bytes;
-  H.observe l.l_service service_s;
-  a.pending <- a.pending + 1;
-  if a.pending >= flush_every then flush a
+let record t ~tenant ~ok ~reply_bytes ~cache_hits ~cache_misses ~service_s =
+  locked t (fun () ->
+      let tn = tenant_locked t tenant in
+      tn.tn_requests <- tn.tn_requests + 1;
+      if not ok then tn.tn_errors <- tn.tn_errors + 1;
+      tn.tn_cache_hits <- tn.tn_cache_hits + cache_hits;
+      tn.tn_cache_misses <- tn.tn_cache_misses + cache_misses;
+      tn.tn_reply_bytes <- tn.tn_reply_bytes + reply_bytes;
+      H.observe tn.tn_service service_s)
 
 (* {2 Snapshot (plain data, JSON round-trippable)} *)
 
@@ -248,13 +170,13 @@ let snapshot t ~containers =
           (fun id tn acc ->
             {
               tv_id = id;
-              tv_generation = !(tn.tn_generation);
-              tv_sessions = !(tn.tn_sessions);
-              tv_requests = !(tn.tn_requests);
-              tv_errors = !(tn.tn_errors);
-              tv_cache_hits = !(tn.tn_cache_hits);
-              tv_cache_misses = !(tn.tn_cache_misses);
-              tv_reply_bytes = !(tn.tn_reply_bytes);
+              tv_generation = tn.tn_generation;
+              tv_sessions = tn.tn_sessions;
+              tv_requests = tn.tn_requests;
+              tv_errors = tn.tn_errors;
+              tv_cache_hits = tn.tn_cache_hits;
+              tv_cache_misses = tn.tn_cache_misses;
+              tv_reply_bytes = tn.tn_reply_bytes;
               tv_service = summary_of_hist tn.tn_service;
             }
             :: acc)
@@ -270,7 +192,7 @@ let snapshot t ~containers =
             sr_busy_rejections = t.busy_rejections;
             sr_mux_opened = t.mux_opened;
             sr_mux_retired = t.mux_retired;
-            sr_requests = t.requests;
+            sr_requests = sum (fun tv -> tv.tv_requests);
             sr_republishes = t.republishes;
             sr_syncs = t.syncs;
             sr_sync_uptodate = t.sync_uptodate;

@@ -4,10 +4,9 @@
     counters plus, per tenant (container id), session and request counts,
     node-table hits and misses, reply bytes, and a service-time
     histogram.
-    Connection threads never lock the registry per request — each
-    connection observes into a private {!acc} and merges it in under the
-    registry mutex every few dozen requests and at connection end, so the
-    hot path stays lock-free.
+    Every update happens under the registry mutex, and the server records
+    each data request before it writes the reply, so a {!snapshot} covers
+    every reply already sent — on open connections too.
 
     A {!snapshot} is plain data that round-trips through JSON (schema
     {!schema}); it is what the admin-plane [Stats] frame carries and what
@@ -16,9 +15,6 @@
 
 val schema : string
 (** ["xwtp.telemetry.v1"] — pinned in every snapshot document. *)
-
-val flush_every : int
-(** Requests a connection accumulates before merging into the registry. *)
 
 (** {2 Registry} *)
 
@@ -39,20 +35,12 @@ val sync_served : t -> uptodate:bool -> bytes:int -> unit
 (** One answered [Sync]: whether the peer was already current, and how
     many encoded delta bytes went out ([0] when up to date). *)
 
-(** {2 Connection-local accumulator} *)
-
-type acc
-
-val acc : t -> acc
-(** A private accumulator for one connection thread. Not thread-safe —
-    exactly one thread may use it. *)
-
-val session : acc -> tenant:string -> generation:int -> unit
+val session : t -> tenant:string -> generation:int -> unit
 (** A session bound to [tenant] at publication [generation] made its first
-    data request. *)
+    data request. Visible to the next {!snapshot}. *)
 
 val record :
-  acc ->
+  t ->
   tenant:string ->
   ok:bool ->
   reply_bytes:int ->
@@ -62,13 +50,8 @@ val record :
   unit
 (** One served request for [tenant]: outcome, reply size, service wall
     time, and its node-table lookups — a hit when the container already
-    held the table, a miss when the terminal had to build it. Flushes to
-    the registry automatically every {!flush_every} records. *)
-
-val flush : acc -> unit
-(** Merge everything pending into the registry — call at connection end
-    (and before serving a [Get_stats], so the snapshot covers the asking
-    connection's own traffic). *)
+    held the table, a miss when the terminal had to build it. Visible to
+    the next {!snapshot}. *)
 
 (** {2 Snapshot} *)
 
@@ -99,7 +82,7 @@ type server_view = {
   sr_busy_rejections : int;
   sr_mux_opened : int;
   sr_mux_retired : int;
-  sr_requests : int;
+  sr_requests : int;  (** the tenants' [tv_requests] summed *)
   sr_republishes : int;
   sr_syncs : int;
   sr_sync_uptodate : int;
@@ -118,7 +101,7 @@ type view = { server : server_view; tenants : tenant_view list }
 
 val snapshot : t -> containers:int -> view
 (** Consistent copy under the registry mutex; tenants sorted by id. The
-    server-wide cache hits and misses are the tenants' sums; the
+    server-wide requests, cache hits and misses are the tenants' sums; the
     published-container count is passed in by the server. *)
 
 (** {2 JSON codec} *)

@@ -167,10 +167,8 @@ let test_histogram_boundaries () =
       (Histogram.bucket_of (Float.pred b))
   done
 
-(* merge/snapshot: the fleet-telemetry aggregation primitives. Merging
-   per-session histograms must be indistinguishable from having observed
-   everything into one, and a snapshot must stay stable while the
-   original keeps observing. *)
+(* merge: merging per-session histograms must be indistinguishable from
+   having observed everything into one. *)
 let test_histogram_merge () =
   let a = Histogram.make "wall_merge" and b = Histogram.make "wall_merge" in
   let xs_a = [ 1e-4; 2e-4; 5e-2 ] and xs_b = [ 3e-4; 0.2 ] in
@@ -191,14 +189,7 @@ let test_histogram_merge () =
         (Printf.sprintf "p%.0f matches one-histogram run" (q *. 100.))
         true
         (Histogram.quantile into q = Histogram.quantile all q))
-    [ 0.5; 0.95; 0.99 ];
-  let s = Histogram.snapshot into in
-  let p50 = Histogram.quantile s 0.5 in
-  Histogram.observe into 10.;
-  check int_t "snapshot count frozen" 5 (Histogram.count s);
-  check bool_t "snapshot quantile frozen" true
-    (Histogram.quantile s 0.5 = p50);
-  check int_t "original kept observing" 6 (Histogram.count into)
+    [ 0.5; 0.95; 0.99 ]
 
 (* Parent linkage: a span started inside another names it as parent (from
    the ambient per-thread context), point events name the innermost open
@@ -286,6 +277,49 @@ let test_trace_observation () =
   check bool_t "observations traced" true (names <> []);
   check bool_t "decisions appear" true (List.mem "eval.decision" names);
   check bool_t "instances appear" true (List.mem "eval.instance" names)
+
+(* Atomic whole-file writes ---------------------------------------------- *)
+
+(* [f dir path] against a target [path] in a fresh directory [dir], which
+   is removed afterwards with whatever it holds *)
+let with_target f =
+  let dir = Filename.temp_dir "atomic" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir (Filename.concat dir "target"))
+
+let read_target path = In_channel.with_open_bin path In_channel.input_all
+let entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let test_atomic_replaces () =
+  with_target (fun dir path ->
+      Atomic_file.write path (fun oc -> output_string oc "old contents");
+      Atomic_file.write path (fun oc -> output_string oc "new");
+      check string_t "replaced" "new" (read_target path);
+      check (Alcotest.list string_t) "only the target" [ "target" ]
+        (entries dir))
+
+let test_atomic_failure_keeps_old () =
+  with_target (fun dir path ->
+      Atomic_file.write path (fun oc -> output_string oc "old contents");
+      let raised =
+        match
+          Atomic_file.write path (fun oc ->
+              output_string oc "half of the new";
+              flush oc;
+              failwith "writer died")
+        with
+        | () -> false
+        | exception Failure _ -> true
+      in
+      check bool_t "the writer's exception escapes" true raised;
+      check string_t "old contents kept" "old contents" (read_target path);
+      check (Alcotest.list string_t) "no temporary file left" [ "target" ]
+        (entries dir))
 
 (* Deterministic counters ------------------------------------------------- *)
 
@@ -510,12 +544,18 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "histogram boundaries" `Quick
             test_histogram_boundaries;
-          Alcotest.test_case "histogram merge+snapshot" `Quick
+          Alcotest.test_case "histogram merge" `Quick
             test_histogram_merge;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           prop_histogram_bucket_brackets;
           Alcotest.test_case "span+trace" `Quick test_span_trace;
           Alcotest.test_case "trace observation" `Quick test_trace_observation;
+        ] );
+      ( "atomic file",
+        [
+          Alcotest.test_case "write replaces" `Quick test_atomic_replaces;
+          Alcotest.test_case "failed write keeps the old file" `Quick
+            test_atomic_failure_keeps_old;
         ] );
       ( "deterministic counters",
         [

@@ -120,6 +120,109 @@ let test_stats_frame_cross_check () =
     (frame.Telemetry.server.Telemetry.sr_admitted >= 3);
   Wire.Client.close admin
 
+let fetch_view client =
+  match Telemetry.of_string (Wire.Client.fetch_stats client) with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "stats reply did not decode: %s" e
+
+(* A snapshot covers every reply already sent, also on a connection that
+   is still open: five data requests on one loopback connection show in a
+   Stats frame fetched over another. *)
+let test_open_connection_counted () =
+  let server = two_tenant_server () in
+  let busy = Wire.Client.connect (Wire.Server.loopback_connector server) in
+  for _ = 1 to 5 do
+    ignore (Wire.Client.fetch_digest busy ~chunk:0 : string)
+  done;
+  let admin = Wire.Client.connect (Wire.Server.loopback_connector server) in
+  let frame = fetch_view admin in
+  check_views_agree frame (Wire.Server.telemetry_snapshot server);
+  (match frame.Telemetry.tenants with
+  | [ tv ] ->
+      check string_t "default tenant" "alpha" tv.Telemetry.tv_id;
+      check int_t "its requests" 5 tv.Telemetry.tv_requests;
+      check int_t "its session" 1 tv.Telemetry.tv_sessions
+  | tvs -> Alcotest.failf "%d tenant rows, want 1" (List.length tvs));
+  check int_t "server requests" 5
+    frame.Telemetry.server.Telemetry.sr_requests;
+  Wire.Client.close admin;
+  Wire.Client.close busy
+
+(* The same over TCP with two acceptor domains: two mux connections each
+   run three complete sessions and stay open while a Stats frame is
+   fetched. Each connection's data requests (24 here) are no multiple of
+   any batch size a lagging count could hide behind. *)
+let test_open_mux_counted () =
+  let cfg0 =
+    {
+      (Session.default_config ~scheme:Container.Ecb_mht ()) with
+      Session.chunk_size = 1024;
+      fragment_size = 128;
+    }
+  in
+  let doc =
+    Hospital.generate ~seed:31
+      ~config:{ Hospital.default_config with folders = 3 }
+      ()
+  in
+  let published = Session.publish cfg0 ~layout:Layout.Tcsbr doc in
+  let server = Wire.Server.create () in
+  Wire.Server.publish server ~id:"records" published.Session.container;
+  let listener = Wire.Transport.listen (Wire.Transport.Tcp ("127.0.0.1", 0)) in
+  let stop = ref false in
+  let th =
+    Thread.create
+      (fun () ->
+        try Wire.Server.serve ~domains:2 ~stop server listener
+        with Wire.Error.Wire _ -> ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop := true;
+      Thread.join th;
+      Wire.Transport.close_listener listener)
+    (fun () ->
+      let connector () =
+        Wire.Transport.connect (Wire.Transport.bound_addr listener)
+      in
+      let muxes = Array.init 2 (fun _ -> Wire.Mux.connect connector) in
+      (* data requests per connection: each session's wire requests
+         minus its hello and its Bye *)
+      let data = Array.make 2 0 in
+      let failures = Array.make 2 None in
+      let worker i =
+        try
+          for _ = 1 to 3 do
+            let r =
+              Remote.connect ~container:"records" (Wire.Mux.session muxes.(i))
+            in
+            let (_ : Session.measurement) =
+              Session.evaluate_remote cfg0 r Profiles.secretary
+            in
+            Remote.close r;
+            data.(i) <-
+              data.(i) + (Remote.wire_stats r).Wire.Stats.requests - 2
+          done
+        with e -> failures.(i) <- Some e
+      in
+      List.iter Thread.join (List.init 2 (Thread.create worker));
+      Array.iter
+        (Option.iter (fun e ->
+             Alcotest.failf "mux session failed: %s" (Printexc.to_string e)))
+        failures;
+      let admin = Wire.Client.connect connector in
+      let frame = fetch_view admin in
+      Wire.Client.close admin;
+      (match frame.Telemetry.tenants with
+      | [ tv ] ->
+          check int_t "sessions on open connections" 6
+            tv.Telemetry.tv_sessions;
+          check int_t "requests on open connections" (data.(0) + data.(1))
+            tv.Telemetry.tv_requests
+      | tvs -> Alcotest.failf "%d tenant rows, want 1" (List.length tvs));
+      Array.iter Wire.Mux.close muxes)
+
 (* JSON codec: round trip and hostile input ------------------------------ *)
 
 let test_snapshot_roundtrip () =
@@ -431,6 +534,10 @@ let () =
             test_stats_frame_cross_check;
           Alcotest.test_case "stats require a local transport" `Quick
             test_stats_requires_local;
+          Alcotest.test_case "open connection counted" `Quick
+            test_open_connection_counted;
+          Alcotest.test_case "open mux connections counted" `Quick
+            test_open_mux_counted;
         ] );
       ( "trace",
         [ Alcotest.test_case "cross-wire timeline" `Quick test_trace_timeline ] );

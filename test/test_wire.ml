@@ -1197,8 +1197,8 @@ let test_busy_churn () =
 (* Mux: N concurrent sessions over one connection ≡ one plain connection --- *)
 
 (* Serve [containers] on a TCP listener, run [f], drain, then hand the
-   server to [after] — telemetry is only fully flushed once every
-   connection's serve loop has ended, so counter checks belong there. *)
+   server to [after]: every connection has ended there, so its telemetry
+   is final. *)
 let with_fleet_server ?(max_sessions = 8)
     ?(after = fun (_ : Wire.Server.t) -> ()) containers f =
   let server = Wire.Server.create () in
